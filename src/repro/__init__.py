@@ -25,12 +25,11 @@ The package implements, from scratch:
 
 from . import check, core, dot11, experiments, mac, net, obs, phy, sim
 
-# 0.8.0: unified service telemetry — /metrics Prometheus exposition,
-# cross-process trace propagation (campaign → job → span) and the live
-# obs dashboard.  Exhibit physics are untouched, but worker results now
-# carry trace exports next to their metrics snapshots; the bump keeps
-# pre-telemetry cache entries from replaying without them.
-__version__ = "0.8.0"
+# 0.9.0: band audibility is part of the model — a cross-band link whose
+# best-case post-mask power misses the delivery floor does not exist, on
+# the fast path and the reference leg alike.  The bump keeps cache
+# entries computed under the old link model from being served.
+__version__ = "0.9.0"
 
 from . import campaign, perf  # noqa: E402  (the cache keys on __version__)
 

@@ -354,7 +354,6 @@ def _cmd_check_diff(args) -> int:
             seed=args.seed,
             fast=args.fast,
             invariants=not args.no_invariants,
-            band_sharding=args.band_sharding,
         )
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
@@ -616,10 +615,6 @@ def main(argv=None) -> int:
     k_diff.add_argument("--no-invariants", action="store_true",
                         help="skip runtime invariant checking during the "
                              "two runs")
-    k_diff.add_argument("--band-sharding", action="store_true",
-                        help="enable band-sharded fan-out on the fast leg "
-                             "(gates the sharded configuration against "
-                             "the scalar reference)")
     k_diff.set_defaults(func=_cmd_check_diff)
 
     k_det = check_sub.add_parser(

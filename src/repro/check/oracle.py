@@ -6,8 +6,9 @@ produce the same behaviour with or without them.  The oracle turns
 that claim into a machine check.  ``diff_exhibit`` runs one exhibit
 twice —
 
-1. the **fast path** (default ``Medium`` with the
-   :class:`~repro.phy.medium.LinkGainCache` and incremental power
+1. the **fast path** (default ``Medium``: cached band-audible fan-out
+   batches from :class:`~repro.phy.vectorized.VectorizedLinkCache`,
+   batched delivery, per-band event shards and incremental power
    accumulators), and
 2. the **reference path** (``Medium(link_cache=False)`` brute-force
    fan-out plus per-probe mask re-evaluation in the radio power sums)
@@ -111,22 +112,18 @@ def run_traced(
     *,
     reference: bool = False,
     checker: Optional[InvariantChecker] = None,
-    band_sharding: bool = False,
 ) -> Tuple[Any, List[Any]]:
     """Run one registered exhibit inside an instrumented session.
 
     Returns ``(table, traces)`` where ``traces`` are the per-deployment
     :class:`~repro.sim.trace.Trace` objects in construction order.
-    ``band_sharding`` is ignored on reference runs (the reference leg is
-    always the plain scalar path).
     """
     from ..experiments.registry import get
     from ..phy.frame import reset_frame_ids
 
     experiment = get(exhibit_id)
     session = CheckSession(
-        reference=reference, capture_traces=True, checker=checker,
-        band_sharding=band_sharding,
+        reference=reference, capture_traces=True, checker=checker
     )
     # Frame ids come from a process-global counter and exist only to
     # correlate trace records; restart it so both oracle legs allocate
@@ -183,22 +180,19 @@ def diff_exhibit(
     *,
     invariants: bool = True,
     check_config: Optional[CheckConfig] = None,
-    band_sharding: bool = False,
 ) -> DiffReport:
     """Run the differential oracle on one exhibit.
 
     Raises :class:`~repro.check.invariants.InvariantViolation` if either
     run breaks a runtime invariant (when ``invariants`` is on); returns
     a :class:`DiffReport` whose ``ok`` reflects trace and table
-    equality.  ``band_sharding`` applies to the fast leg only, so the
-    sharded configuration is gated against the scalar reference.
+    equality.
     """
     fast_checker = InvariantChecker(check_config) if invariants else None
     ref_checker = InvariantChecker(check_config) if invariants else None
 
     fast_table, fast_traces = run_traced(
-        exhibit_id, seed, fast, reference=False, checker=fast_checker,
-        band_sharding=band_sharding,
+        exhibit_id, seed, fast, reference=False, checker=fast_checker
     )
     ref_table, ref_traces = run_traced(
         exhibit_id, seed, fast, reference=True, checker=ref_checker

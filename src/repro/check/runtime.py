@@ -47,11 +47,6 @@ class CheckSession:
     checker:
         Optional :class:`~repro.check.invariants.InvariantChecker`
         armed on every simulator built inside the session.
-    band_sharding:
-        When ``True`` (and the session is not a reference session)
-        deployments built inside it enable the medium's band-sharded
-        fan-out, so ``check diff`` can gate the sharded configuration
-        against the scalar reference leg.
     """
 
     def __init__(
@@ -59,12 +54,10 @@ class CheckSession:
         reference: bool = False,
         capture_traces: bool = True,
         checker: Any = None,
-        band_sharding: bool = False,
     ) -> None:
         self.reference = bool(reference)
         self.capture_traces = bool(capture_traces)
         self.checker = checker
-        self.band_sharding = bool(band_sharding)
         #: Traces of the deployments created inside the session, in
         #: construction order (one exhibit may build several rigs).
         self.traces: List[Any] = []

@@ -84,27 +84,12 @@ class Deployment:
         When True (default) every link sender gets a
         :class:`~repro.net.traffic.SaturatedSource` started at t = 0.
     link_cache:
-        Fan-out strategy for the medium: ``True`` uses the audible-set
-        cache, ``False`` the brute-force reference scan.  ``None`` (the
-        default) means "cache, unless an active
+        Fan-out strategy for the medium: ``True`` uses the fast path (the
+        link cache, batched delivery and per-band event shards),
+        ``False`` the brute-force reference scan.  ``None`` (the
+        default) means "fast path, unless an active
         :class:`~repro.check.runtime.CheckSession` asks for the
         reference path".
-    vectorized:
-        Struct-of-arrays batched fan-out (see
-        :class:`~repro.phy.vectorized.VectorizedLinkCache`).  ``None``
-        (the default) enables it whenever the link cache is active;
-        ``False`` forces the scalar cache.
-    band_sharding:
-        Opt-in cross-band fan-out culling for large multi-band scenes
-        (approximate; see ``Medium``).  Default off.  An active
-        non-reference :class:`~repro.check.runtime.CheckSession` with
-        ``band_sharding=True`` turns it on (so ``check diff`` can gate
-        the sharded configuration).
-    sharded_scheduler:
-        Band-partitioned event scheduling + batched accumulator updates
-        (bit-exact; see ``Medium``).  ``None`` (the default) follows the
-        medium's own default — on whenever the vectorized cache is
-        active, hence automatically *off* on the reference leg.
     obs:
         Optional :class:`~repro.obs.recorder.Observability` telemetry
         recorder handed to the simulator.  ``None`` (the default) means
@@ -143,9 +128,6 @@ class Deployment:
         radio_config: Optional[RadioConfig] = None,
         trace: Optional[Trace] = None,
         link_cache: Optional[bool] = None,
-        vectorized: Optional[bool] = None,
-        band_sharding: bool = False,
-        sharded_scheduler: Optional[bool] = None,
         obs=None,
     ) -> None:
         from ..check.runtime import active_session
@@ -168,12 +150,8 @@ class Deployment:
                 link_cache = not session.reference
             reference_accumulators = session.reference
             checks = session.checker
-            if session.band_sharding and not session.reference:
-                band_sharding = True
         if link_cache is None:
             link_cache = True
-        if vectorized is None:
-            vectorized = link_cache
 
         self.sim = Simulator(trace=trace, checks=checks, obs=obs)
         if trace is not None:
@@ -194,9 +172,6 @@ class Deployment:
             rng=self.rng,
             link_cache=link_cache,
             reference_accumulators=reference_accumulators,
-            vectorized=vectorized,
-            band_sharding=band_sharding,
-            sharded_scheduler=sharded_scheduler,
         )
         self.networks: List[Network] = []
         self.nodes: Dict[str, Node] = {}

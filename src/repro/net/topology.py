@@ -300,7 +300,7 @@ def scale_topology(
     packing the same room tighter.  Only the first
     ``active_links_per_network`` pairs per network carry traffic; the rest
     are idle listeners that still populate every transmitter's audible set
-    — exactly the population the vectorized medium batch-evaluates.
+    — exactly the population the link cache batch-evaluates.
 
     This is *not* a paper configuration: it exists so ``perf profile
     --scene N`` and the ``fanout_1k``/``mini_run_5k`` benches can build an

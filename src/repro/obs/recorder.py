@@ -98,7 +98,7 @@ class Observability:
         # Scheduler health gauges: live (non-cancelled) events across the
         # main heap plus all band shards, and the cumulative compaction
         # count.  Both read EventQueue bookkeeping that is maintained
-        # whether or not band sharding is active.
+        # whether or not the queue has band shards.
         queue = sim.event_queue
         self.registry.gauge("event_queue.live",
                             lambda q=queue: float(q.live))

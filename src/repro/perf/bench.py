@@ -5,7 +5,7 @@ The suite times the hot paths the PR-2 performance layer optimised:
 - ``event_queue``       — self-rescheduling event throughput (push/pop);
 - ``event_cancel_churn``— heavy cancellation (exercises heap compaction);
 - ``medium_fanout``     — one transmitter fanning frames to 30 receivers
-  through the :class:`~repro.phy.medium.LinkGainCache`;
+  through the link cache's batched fan-out;
 - ``fanout_1k``         — the same rig at 1000 receivers: the regime the
   struct-of-arrays :mod:`repro.phy.vectorized` path is built for;
 - ``cca_probe``         — the O(1) incremental sensing-path probe;
@@ -22,7 +22,7 @@ The suite times the hot paths the PR-2 performance layer optimised:
   delivered end-to-end report;
 - ``mini_run_5k``       — a 5000-mote synthetic scene (16 channels, one
   saturated link each) run for 20 ms of sim time, costed per sent
-  frame; the scale tier the vectorized fan-out targets (skipped in
+  frame; the scale tier the batched fan-out targets (skipped in
   ``--quick`` mode);
 - ``mini_run_50k``      — the same scene at 50 000 motes: the sharded-
   scheduler + batched-accumulator regime (DESIGN.md §15; skipped in

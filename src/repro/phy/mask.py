@@ -48,7 +48,22 @@ __all__ = [
 
 
 class SpectralMask:
-    """Interface: attenuation of an off-channel signal, in dB."""
+    """Interface: attenuation of an off-channel signal, in dB.
+
+    Masks are values: two masks of one class with equal ``_key()``
+    compare and hash equal, so the link cache evaluates one batch per
+    distinct curve instead of one per radio.  Subclasses that do not
+    override ``_key`` compare by identity.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._key()))
+
+    def _key(self) -> tuple:
+        return (id(self),)
 
     def leakage_db(self, delta_f_mhz: float) -> float:
         raise NotImplementedError
@@ -57,9 +72,9 @@ class SpectralMask:
         """Attenuation for an array of frequency offsets.
 
         Returns a float64 numpy array, bit-identical to element-wise
-        :meth:`leakage_db` calls (the default loops; overrides must keep
-        the guarantee — the vectorized medium relies on it when deriving
-        band-shard interaction bounds).
+        :meth:`leakage_db` calls (the default loops; overrides should keep
+        the guarantee — the link cache preselects band-audible links with
+        it, inside a guard band).
         """
         import numpy as np
 
@@ -104,6 +119,9 @@ class PiecewiseLinearMask(SpectralMask):
         self._freqs = list(freqs)
         self._attens = list(attens)
         self.max_db = max_db
+
+    def _key(self) -> tuple:
+        return (tuple(self._freqs), tuple(self._attens), self.max_db)
 
     def leakage_db(self, delta_f_mhz: float) -> float:
         df = abs(delta_f_mhz)
@@ -177,6 +195,9 @@ class ShiftedMask(SpectralMask):
         self.extra_db = extra_db
         self.from_mhz = from_mhz
 
+    def _key(self) -> tuple:
+        return (self.base, self.extra_db, self.from_mhz)
+
     def leakage_db(self, delta_f_mhz: float) -> float:
         base_db = self.base.leakage_db(delta_f_mhz)
         if abs(delta_f_mhz) <= self.from_mhz:
@@ -196,6 +217,9 @@ class PerfectOrthogonalMask(SpectralMask):
     ) -> None:
         self.co_channel_tolerance_mhz = co_channel_tolerance_mhz
         self.max_db = max_db
+
+    def _key(self) -> tuple:
+        return (self.co_channel_tolerance_mhz, self.max_db)
 
     def leakage_db(self, delta_f_mhz: float) -> float:
         if abs(delta_f_mhz) <= self.co_channel_tolerance_mhz:

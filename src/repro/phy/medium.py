@@ -2,33 +2,47 @@
 
 The medium knows every radio, the path-loss model and the fading model.
 When a radio begins transmitting, the medium computes the received power at
-every *audible* radio (path loss + per-packet fading), delivers a
-``signal start`` notification immediately and schedules the matching
-``signal end``.  Radios decide for themselves what a signal means to them
-(lockable co-channel frame vs. inter-channel interference) — the medium is
-channel-agnostic and simply carries centre frequencies around.
+every radio that has a link to the source (path loss + per-packet fading),
+delivers a ``signal start`` notification immediately and schedules the
+matching ``signal end``.  Radios decide for themselves what a signal means
+to them (lockable co-channel frame vs. inter-channel interference) — the
+medium simply carries centre frequencies around.
 
-Performance architecture (see DESIGN.md §9)
--------------------------------------------
-Node positions are static for the lifetime of a run, so the mean link
-budget between any two radios never changes.  :class:`LinkGainCache`
-exploits this twice:
+Band audibility (the link rule)
+-------------------------------
+Non-orthogonal channels are modelled by each receiver's spectral masks, so
+whether a link exists depends on the transmission's channel.  A link
+``source → receiver`` exists for a transmission on ``channel_mhz`` only if
+its best-case *post-mask* power reaches the delivery floor::
 
-1. **mean-RSS memoisation** — the path-loss model is consulted once per
-   ``(source, receiver, tx power)`` triple instead of once per frame;
-2. **audible-set culling** — receivers whose *best-case* RSS (mean plus
-   the fading model's maximum possible gain, :meth:`FadingModel.max_gain_db`)
-   cannot clear ``delivery_floor_dbm`` are dropped from the fan-out list
-   entirely, so transmission cost scales with the number of audible
-   receivers, not with the size of the network.
+    mean_rss + fading.max_gain_db() - min(mask.leakage_db(df),
+                                          cca_mask.leakage_db(df))
+        >= delivery_floor_dbm,        df = channel_mhz - receiver.channel_mhz
 
-Culling is exact, not approximate: a culled receiver is one that could not
-have been delivered a signal under *any* fading draw, so the brute-force
-fan-out (``link_cache=False``) produces byte-identical results.  That
-guarantee requires fading draws to be independent per link, which is why
-fading uses **per-link RNG streams** (named ``fading.{src}.{dst}``) rather
-than one shared stream: skipping an inaudible link must not shift any other
-link's draw sequence.
+(:func:`best_case_dbm`).  On an existing link each packet keeps its own
+check: it is delivered when ``mean_rss + draw >= delivery_floor_dbm``.
+Co-channel links have zero leakage, so the rule only drops links that the
+mean-RSS floor would drop anyway; unbounded fading (``max_gain_db() ==
+inf``) drops nothing.  A dropped cross-band link could contribute at most
+``floor`` dBm to its receiver's power sums — 15 dB under the default noise
+floor — and :class:`~repro.phy.vectorized.VectorizedLinkCache` measures
+the sum of what it drops per receiver whenever telemetry is bound (gauge
+``phy.medium.culled_power_frac_noise_max``).
+
+One fast path, one reference
+----------------------------
+``link_cache=True`` (the default) fans out through
+:meth:`~repro.phy.vectorized.VectorizedLinkCache.fanout_batch`: one cached
+:class:`~repro.phy.vectorized.FanoutBatch` per ``(source, tx power,
+channel)`` and one batched delivery loop.  ``link_cache=False`` is the
+brute-force reference: every transmission scans every radio with the scalar
+path-loss model and applies the same rule through the same function.  Both
+legs therefore select the same links in the same (registration) order by
+construction, and ``repro check diff`` proves the rest of the fast path
+(batched draws, accumulator updates) equal.  Fading uses **per-link RNG
+streams** (named ``fading.{src}.{dst}``) rather than one shared stream, so
+skipping a link never shifts another link's draw sequence; a stream is only
+created for a link that exists.
 
 Event ordering: at identical timestamps, signal *ends* fire before signal
 *starts* (priority 0 vs 1) so that back-to-back transmissions do not appear
@@ -52,12 +66,13 @@ from .propagation import PathLossModel
 
 if TYPE_CHECKING:  # pragma: no cover
     from .radio import Radio
+    from .vectorized import VectorizedLinkCache
 
 __all__ = [
     "Transmission",
     "Signal",
     "Medium",
-    "LinkGainCache",
+    "best_case_dbm",
     "PRIORITY_SIGNAL_END",
     "PRIORITY_SIGNAL_START",
 ]
@@ -124,95 +139,29 @@ class Signal:
         )
 
 
-#: One audible-set entry: (receiver, mean RSS at the receiver in dBm,
-#: the per-link fading stream).
+#: One reference-path fan-out entry: (receiver, mean RSS at the receiver
+#: in dBm, the per-link fading stream).
 AudibleEntry = Tuple["Radio", float, "np.random.Generator"]
 
 
-class LinkGainCache:
-    """Precomputed static link budgets and per-source audible sets.
+def best_case_dbm(
+    receiver: "Radio", channel_mhz: float, mean_rss: float, headroom_db: float
+) -> float:
+    """Best-case post-mask power of a link at ``receiver`` (dBm).
 
-    Built lazily: the audible set for a ``(source, tx_power)`` pair is
-    computed on its first transmission and reused for every subsequent
-    frame.  Registering a new radio updates every cached audible set
-    *incrementally* (:meth:`register_radio` — the newcomer is appended
-    wherever it is audible, exactly where a full rebuild would place it);
-    moving a radio requires an explicit :meth:`invalidate` (positions are
-    assumed static).
+    ``mean_rss`` plus the fading headroom, minus the receiver's softer
+    mask leakage (decode or sensing path) at the transmission's channel
+    offset.  The link exists iff this reaches the delivery floor (see the
+    module docstring); with unbounded headroom every link exists, and the
+    masks are not consulted.
     """
-
-    __slots__ = ("_medium", "_audible", "_sources")
-
-    def __init__(self, medium: "Medium") -> None:
-        self._medium = medium
-        self._audible: Dict[Tuple[int, float], List[AudibleEntry]] = {}
-        #: id(source) -> source, so cached keys can be resolved back to
-        #: radios during incremental registration.  Holding the reference
-        #: also guarantees the id is never recycled while cached.
-        self._sources: Dict[int, "Radio"] = {}
-
-    def invalidate(self) -> None:
-        """Drop every cached audible set (e.g. after a position change)."""
-        self._audible.clear()
-        self._sources.clear()
-
-    def register_radio(self, radio: "Radio") -> None:
-        """Incrementally fold a newly registered radio into cached sets.
-
-        A full rebuild iterates ``medium._radios`` in registration order,
-        so the newcomer — last in that order — would land at the end of
-        every audible list it belongs to.  Appending it there (with the
-        mean RSS from the same scalar model call) is therefore
-        bit-identical to invalidating and rebuilding, at O(cached keys)
-        cost instead of O(cached keys x radios).
-        """
-        if not self._audible:
-            return
-        medium = self._medium
-        path_loss = medium.path_loss
-        floor = medium.delivery_floor_dbm
-        headroom = medium.fading.max_gain_db()
-        for (source_id, tx_power_dbm), entries in self._audible.items():
-            source = self._sources[source_id]
-            if radio is source:
-                continue
-            mean_rss = path_loss.received_power_dbm(
-                tx_power_dbm, source.position, radio.position
-            )
-            if mean_rss + headroom < floor:
-                continue
-            entries.append(
-                (radio, mean_rss, medium.link_fading_stream(source, radio))
-            )
-
-    def audible_entries(self, source: "Radio", tx_power_dbm: float) -> List[AudibleEntry]:
-        """Receivers that can possibly hear ``source`` at ``tx_power_dbm``."""
-        key = (id(source), tx_power_dbm)
-        entries = self._audible.get(key)
-        if entries is None:
-            entries = self._build(source, tx_power_dbm)
-            self._audible[key] = entries
-            self._sources[id(source)] = source
-        return entries
-
-    def _build(self, source: "Radio", tx_power_dbm: float) -> List[AudibleEntry]:
-        medium = self._medium
-        path_loss = medium.path_loss
-        floor = medium.delivery_floor_dbm
-        headroom = medium.fading.max_gain_db()
-        entries: List[AudibleEntry] = []
-        for radio in medium._radios:
-            if radio is source:
-                continue
-            mean_rss = path_loss.received_power_dbm(
-                tx_power_dbm, source.position, radio.position
-            )
-            if mean_rss + headroom < floor:
-                continue  # inaudible under any fading draw: cull
-            entries.append(
-                (radio, mean_rss, medium.link_fading_stream(source, radio))
-            )
-        return entries
+    if headroom_db == float("inf"):
+        return headroom_db
+    offset = channel_mhz - receiver.channel_mhz
+    leakage = min(
+        receiver.mask.leakage_db(offset), receiver.cca_mask.leakage_db(offset)
+    )
+    return mean_rss + headroom_db - leakage
 
 
 class Medium:
@@ -230,13 +179,18 @@ class Medium:
         Named RNG streams; fading draws come from per-link streams named
         ``fading.{source}.{receiver}``.
     delivery_floor_dbm:
-        Signals below this received power are not delivered at all (they
-        would be ~20 dB under the noise floor); keeps event counts linear in
-        the number of *audible* receivers.
+        Signals below this received power are not delivered at all (15 dB
+        under the default noise floor), and links whose best-case
+        post-mask power misses it do not exist (the band-audibility rule,
+        see the module docstring); keeps event counts linear in the
+        number of receivers that can hear a frame.
     link_cache:
-        When ``True`` (the default) fan-out uses the
-        :class:`LinkGainCache` audible sets; ``False`` forces the
-        brute-force all-radios scan (reference path for exactness tests).
+        ``True`` (the default) selects the fast path: the
+        :class:`~repro.phy.vectorized.VectorizedLinkCache` fan-out
+        batches, the batched delivery loop, and per-band event-queue
+        shards (each radio's timers and each transmission's end events
+        land in its band's sub-heap; placement never reorders dispatch,
+        DESIGN.md §15).  ``False`` selects the brute-force reference scan.
     reference_accumulators:
         When ``True`` every radio registered on this medium answers its
         power probes by full per-call mask re-evaluation (the pre-PR-2
@@ -244,35 +198,6 @@ class Medium:
         accumulators.  Together with ``link_cache=False`` this is the
         complete reference path the differential oracle
         (``python -m repro check diff``) runs against.
-    vectorized:
-        When ``True`` (the default) the link cache is the struct-of-arrays
-        :class:`~repro.phy.vectorized.VectorizedLinkCache`: audible sets
-        build through one batched path-loss call and fan-out draws all
-        fading samples per transmission in one batch.  Bit-identical to
-        the scalar cache (gated by ``repro check diff``); requires
-        ``link_cache=True``.  See DESIGN.md §13.
-    band_sharding:
-        Opt-in approximation on top of the vectorized path: receivers
-        whose best-case *post-mask* power at the transmission channel
-        falls below ``delivery_floor_dbm`` are skipped entirely, so
-        far-apart frequency bands never interact.  Sub-floor accumulator
-        contributions (>=60 dB under the noise floor) are dropped, which
-        is not guaranteed bit-exact for every workload — hence off by
-        default.  Requires ``vectorized=True``.
-    sharded_scheduler:
-        The 50k-mote fast path (DESIGN.md §15), two coupled pieces: band
-        sub-heaps on the event queue (each radio's timers and each
-        transmission's end events land in a per-frequency-band shard,
-        isolating CSMA churn and compaction per band) and the *batched*
-        delivery loop (per-receiver accumulator updates driven by
-        precomputed :class:`~repro.phy.vectorized.FanoutBatch` columns
-        instead of per-signal ``Radio._add_signal`` dispatch).  Both are
-        bit-exact: shard placement never reorders dispatch (the
-        ``(time, priority, seq)`` key stays a global total order) and the
-        batched loop performs float-for-float the same operations as the
-        scalar path (gated by ``repro check diff`` and whole-scene
-        property tests).  ``None`` (the default) resolves to
-        ``vectorized``; requires ``vectorized=True`` when forced on.
     """
 
     def __init__(
@@ -284,9 +209,6 @@ class Medium:
         delivery_floor_dbm: float = -115.0,
         link_cache: bool = True,
         reference_accumulators: bool = False,
-        vectorized: bool = True,
-        band_sharding: bool = False,
-        sharded_scheduler: Optional[bool] = None,
     ) -> None:
         self.sim = sim
         self.path_loss = path_loss
@@ -297,29 +219,11 @@ class Medium:
         self._radios: List["Radio"] = []
         self._radio_ids: set = set()
         self._radios_snapshot: Optional[Tuple["Radio", ...]] = None
-        if link_cache and vectorized:
+        self._gain_cache: Optional["VectorizedLinkCache"] = None
+        if link_cache:
             from .vectorized import VectorizedLinkCache
 
-            self._gain_cache: Optional[LinkGainCache] = VectorizedLinkCache(self)
-            self._vec_cache = self._gain_cache
-        else:
-            self._gain_cache = LinkGainCache(self) if link_cache else None
-            self._vec_cache = None
-        self.vectorized = self._vec_cache is not None
-        if band_sharding and not self.vectorized:
-            raise ValueError(
-                "band_sharding requires the vectorized link cache "
-                "(vectorized=True, link_cache=True)"
-            )
-        self.band_sharding = bool(band_sharding)
-        if sharded_scheduler is None:
-            sharded_scheduler = self.vectorized
-        elif sharded_scheduler and not self.vectorized:
-            raise ValueError(
-                "sharded_scheduler requires the vectorized link cache "
-                "(vectorized=True, link_cache=True)"
-            )
-        self.sharded_scheduler = bool(sharded_scheduler)
+            self._gain_cache = VectorizedLinkCache(self)
         #: channel_mhz -> event-queue shard index (lazily registered).
         self._band_shards: Dict[float, int] = {}
         self._link_streams: Dict[Tuple[int, int], "np.random.Generator"] = {}
@@ -332,12 +236,11 @@ class Medium:
         self._radio_ids.add(id(radio))
         self._radios.append(radio)
         self._radios_snapshot = None
-        if self.sharded_scheduler:
-            radio.event_shard = self._band_shard(radio.channel_mhz)
         if self._gain_cache is not None:
-            # The new radio may be audible to already-cached sources:
-            # fold it into each cached set in place (bit-identical to a
-            # full rebuild, see LinkGainCache.register_radio).
+            radio.event_shard = self._band_shard(radio.channel_mhz)
+            # The new radio may hear already-cached sources: fold it into
+            # each cached batch in place (bit-identical to a full rebuild,
+            # see VectorizedLinkCache.register_radio).
             self._gain_cache.register_radio(radio)
 
     @property
@@ -409,12 +312,12 @@ class Medium:
 
     # ------------------------------------------------------------------
     def _audible_entries(
-        self, source: "Radio", tx_power_dbm: float
+        self, source: "Radio", tx_power_dbm: float, channel_mhz: float
     ) -> List[AudibleEntry]:
-        if self._gain_cache is not None:
-            return self._gain_cache.audible_entries(source, tx_power_dbm)
-        # Reference path: consult the path-loss model for every radio.
+        """Reference fan-out: consult the scalar models for every radio."""
         path_loss = self.path_loss
+        floor = self.delivery_floor_dbm
+        headroom = self.fading.max_gain_db()
         entries: List[AudibleEntry] = []
         for radio in self._radios:
             if radio is source:
@@ -422,6 +325,8 @@ class Medium:
             mean_rss = path_loss.received_power_dbm(
                 tx_power_dbm, source.position, radio.position
             )
+            if best_case_dbm(radio, channel_mhz, mean_rss, headroom) < floor:
+                continue  # no link: its fading stream is never touched
             entries.append((radio, mean_rss, self.link_fading_stream(source, radio)))
         return entries
 
@@ -466,18 +371,18 @@ class Medium:
         floor = self.delivery_floor_dbm
         fading = self.fading
         delivered: List[Tuple["Radio", Signal]] = []
-        vec = self._vec_cache
-        if vec is not None and self.sharded_scheduler:
+        cache = self._gain_cache
+        if cache is not None:
             # Batched delivery (DESIGN.md §15): one vector add for the
             # per-packet RSS column, then a tight loop over the survivors
             # that inlines Radio.on_signal_start/_add_signal against the
             # FanoutBatch's precomputed gain columns.  Every float
             # operation (mean+draw add, floor compare, 10**(rss/10),
-            # gain multiplies, sense-sum accumulation) mirrors the scalar
-            # path operand-for-operand, so accumulator bits and traces
-            # are identical — gated by `repro check diff` and the
-            # whole-scene sharded-vs-unsharded property test.
-            batch = vec.fanout_batch(source, tx_power_dbm, channel_mhz)
+            # gain multiplies, sense-sum accumulation) mirrors the
+            # reference loop below operand-for-operand, so accumulator
+            # bits and traces are identical — gated by `repro check diff`
+            # and the whole-scene fast-vs-reference property tests.
+            batch = cache.fanout_batch(source, tx_power_dbm, channel_mhz)
             radios = batch.radios
             if radios:
                 draws = fading.sample_db_many(batch.streams)
@@ -500,7 +405,7 @@ class Medium:
                     if not inline[i]:
                         # Subclass with custom lock semantics: deliver
                         # through its own on_signal_start, exactly as the
-                        # unsharded list path does.
+                        # reference loop does.
                         signal = Signal(transmission, rss)
                         radio.on_signal_start(signal)
                         append((radio, signal))
@@ -530,29 +435,9 @@ class Medium:
                     if reception is None and co_channel[i]:
                         radio._maybe_lock(signal)
                     append((radio, signal))
-        elif vec is not None:
-            # Batched fan-out: parallel (radios, means, streams) lists and
-            # one sample_db_many call per transmission.  Draw values, draw
-            # order per stream, delivery order and float operations are
-            # identical to the scalar loop below.
-            if self.band_sharding:
-                radios, means, streams = vec.sharded_fanout_lists(
-                    source, tx_power_dbm, channel_mhz
-                )
-            else:
-                radios, means, streams = vec.fanout_lists(source, tx_power_dbm)
-            append = delivered.append
-            draws = fading.sample_db_many(streams)
-            for radio, mean_rss, draw in zip(radios, means, draws):
-                rss = mean_rss + draw
-                if rss < floor:
-                    continue
-                signal = Signal(transmission, rss)
-                radio.on_signal_start(signal)
-                append((radio, signal))
         else:
             for radio, mean_rss, stream in self._audible_entries(
-                source, tx_power_dbm
+                source, tx_power_dbm, channel_mhz
             ):
                 rss = mean_rss + fading.sample_db(stream)
                 if rss < floor:

@@ -12,8 +12,8 @@ Batched evaluation
 against an ``(n, 2)`` array of receiver positions in a single numpy call.
 The batched result agrees with the scalar method to within a few ulp but
 is **not guaranteed bit-identical** — numpy's SIMD transcendentals
-(``log10``/``hypot``) may round differently from libm.  The vectorized
-medium therefore uses batched values only for conservative *candidate
+(``log10``/``hypot``) may round differently from libm.  The link cache
+(:mod:`repro.phy.vectorized`) therefore uses batched values only for conservative *candidate
 preselection* (with a guard band far wider than any SIMD rounding
 difference) and always re-derives the exact link budget through the
 scalar method; see DESIGN.md §13.

@@ -170,3 +170,27 @@ def test_arbitrary_mask_monotone_in_abs_offset(mask, df1, df2):
 def test_arbitrary_mask_bounded(mask, df):
     value = mask.leakage_db(df)
     assert 0.0 <= value <= mask.max_db + 1e-9
+
+
+def test_masks_compare_by_value():
+    """Equal curves are equal keys, so the link cache batches one
+    leakage evaluation per distinct (mask, cca_mask) pair."""
+    assert default_mask() == default_mask()
+    assert hash(default_cca_mask()) == hash(default_cca_mask())
+    assert default_mask() != default_cca_mask()
+    assert ShiftedMask(default_mask()) == ShiftedMask(default_mask())
+    assert ShiftedMask(default_mask()) != ShiftedMask(default_mask(), 6.0)
+    assert PerfectOrthogonalMask() == PerfectOrthogonalMask()
+    assert PerfectOrthogonalMask() != PerfectOrthogonalMask(max_db=100.0)
+    assert len({default_mask(), default_mask(), default_cca_mask()}) == 2
+
+
+def test_mask_subclass_without_key_compares_by_identity():
+    from repro.phy.mask import SpectralMask
+
+    class Flat(SpectralMask):
+        def leakage_db(self, delta_f_mhz):
+            return 3.0
+
+    a, b = Flat(), Flat()
+    assert a == a and a != b

@@ -2,10 +2,10 @@
 
 Three properties are load-bearing and verified here:
 
-1. **Culling exactness** — running the same scenario with the
-   :class:`~repro.phy.medium.LinkGainCache` enabled and disabled
-   (``link_cache=False`` brute-force reference path) produces identical
-   observable outcomes, bit for bit.
+1. **Culling exactness** — running the same scenario with the link cache
+   (:class:`~repro.phy.vectorized.VectorizedLinkCache`) enabled and
+   disabled (``link_cache=False`` brute-force reference path) produces
+   identical observable outcomes, bit for bit.
 2. **Accumulator exactness** — the incremental in-channel power sums agree
    with the pre-optimisation brute-force re-summation (kept in
    :mod:`repro.perf.bench`) to within 1e-12 relative, over arbitrary
@@ -141,8 +141,13 @@ def test_culling_exact_with_different_seeds():
 
 
 # ----------------------------------------------------------------------
-# LinkGainCache unit behaviour
+# Link cache unit behaviour
 # ----------------------------------------------------------------------
+def _batch(medium, tx):
+    """``tx``'s cached fan-out batch on its own channel at 0 dBm."""
+    return medium._gain_cache.fanout_batch(tx, 0.0, tx.channel_mhz)
+
+
 def _cache_rig(fading=None, floor=-115.0):
     sim = Simulator()
     matrix = FixedRssMatrix(default_loss_db=60.0)
@@ -163,9 +168,9 @@ def test_audible_set_culls_unreachable_receivers():
     tx = Radio(sim, medium, "tx", (0, 0), 2460.0, 0.0)
     near = Radio(sim, medium, "near", (1, 0), 2460.0, 0.0)
     Radio(sim, medium, "far", (2, 0), 2460.0, 0.0)
-    entries = medium._gain_cache.audible_entries(tx, 0.0)
-    assert [entry[0] for entry in entries] == [near]
-    assert entries[0][1] == pytest.approx(-50.0)
+    batch = _batch(medium, tx)
+    assert batch.radios == [near]
+    assert batch.means[0] == pytest.approx(-50.0)
 
 
 def test_audible_set_respects_fading_headroom():
@@ -178,8 +183,7 @@ def test_audible_set_respects_fading_headroom():
     tx = Radio(sim, medium, "tx", (0, 0), 2460.0, 0.0)
     edge = Radio(sim, medium, "edge", (1, 0), 2460.0, 0.0)
     Radio(sim, medium, "far", (2, 0), 2460.0, 0.0)
-    entries = medium._gain_cache.audible_entries(tx, 0.0)
-    assert [entry[0] for entry in entries] == [edge]
+    assert _batch(medium, tx).radios == [edge]
 
 
 def test_unbounded_fading_disables_culling():
@@ -192,8 +196,7 @@ def test_unbounded_fading_disables_culling():
     tx = Radio(sim, medium, "tx", (0, 0), 2460.0, 0.0)
     far = Radio(sim, medium, "far", (1, 0), 2460.0, 0.0)
     assert math.isinf(medium.fading.max_gain_db())
-    entries = medium._gain_cache.audible_entries(tx, 0.0)
-    assert [entry[0] for entry in entries] == [far]
+    assert _batch(medium, tx).radios == [far]
 
 
 def test_audible_set_is_cached_and_register_updates_in_place():
@@ -201,18 +204,18 @@ def test_audible_set_is_cached_and_register_updates_in_place():
     matrix.set_loss((0, 0), (1, 0), 50.0)
     tx = Radio(sim, medium, "tx", (0, 0), 2460.0, 0.0)
     Radio(sim, medium, "rx1", (1, 0), 2460.0, 0.0)
-    first = medium._gain_cache.audible_entries(tx, 0.0)
-    assert medium._gain_cache.audible_entries(tx, 0.0) is first  # memoised
+    first = _batch(medium, tx)
+    assert _batch(medium, tx) is first  # memoised
     matrix.set_loss((0, 0), (2, 0), 55.0)
     late = Radio(sim, medium, "late", (2, 0), 2460.0, 0.0)
     # Registration is a per-radio incremental update, not a full
-    # invalidation: the cached list object survives and the newcomer is
+    # invalidation: the cached batch survives and the newcomer is
     # appended at the end (where a rebuild would have placed it), with
     # the exact scalar-model mean RSS.
-    updated = medium._gain_cache.audible_entries(tx, 0.0)
+    updated = _batch(medium, tx)
     assert updated is first
-    assert [entry[0] for entry in updated][-1] is late
-    assert updated[-1][1] == -55.0
+    assert updated.radios[-1] is late
+    assert updated.means[-1] == -55.0
 
 
 def test_register_updates_match_full_rebuild_bitwise():
@@ -222,15 +225,26 @@ def test_register_updates_match_full_rebuild_bitwise():
     matrix.set_loss((0, 0), (3, 0), 300.0)  # inaudible: must not be added
     tx = Radio(sim, medium, "tx", (0, 0), 2460.0, 0.0)
     Radio(sim, medium, "rx1", (1, 0), 2460.0, 0.0)
-    medium._gain_cache.audible_entries(tx, 0.0)  # warm the cache
+    # Cross-band peers at -70 dBm: -70 - 60 dB mask < -115, no link.
+    matrix.set_loss((0, 0), (4, 0), 70.0)
+    Radio(sim, medium, "cross", (4, 0), 2480.0, 0.0)
+    _batch(medium, tx)  # warm the cache
     Radio(sim, medium, "late", (2, 0), 2460.0, 0.0)
     Radio(sim, medium, "far", (3, 0), 2460.0, 0.0)
-    incremental = medium._gain_cache.audible_entries(tx, 0.0)
+    Radio(sim, medium, "late_cross", (4, 0), 2480.0, 0.0)
+
+    def columns(batch):
+        return list(zip(
+            batch.radios, batch.means.tolist(), batch.streams,
+            batch.decode_gains, batch.sense_gains, batch.co_channel,
+            batch.inline,
+        ))
+
+    incremental = columns(_batch(medium, tx))
     medium.invalidate_link_cache()
-    rebuilt = medium._gain_cache.audible_entries(tx, 0.0)
-    assert [(e[0], e[1]) for e in incremental] == [
-        (e[0], e[1]) for e in rebuilt
-    ]
+    rebuilt = columns(_batch(medium, tx))
+    assert [c[0].name for c in incremental] == ["rx1", "late"]
+    assert incremental == rebuilt
 
 
 def test_late_registered_radio_hears_subsequent_transmissions():
@@ -271,11 +285,114 @@ def test_invalidate_link_cache_after_position_change():
     matrix.set_loss((0, 0), (5, 0), 50.0)
     tx = Radio(sim, medium, "tx", (0, 0), 2460.0, 0.0)
     rx = Radio(sim, medium, "rx", (1, 0), 2460.0, 0.0)
-    assert medium._gain_cache.audible_entries(tx, 0.0) == []
+    assert _batch(medium, tx).radios == []
     rx.position = (5, 0)
     medium.invalidate_link_cache()
-    entries = medium._gain_cache.audible_entries(tx, 0.0)
-    assert [entry[0] for entry in entries] == [rx]
+    assert _batch(medium, tx).radios == [rx]
+
+
+# ----------------------------------------------------------------------
+# Band audibility: the link rule on both legs
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("link_cache", [True, False])
+def test_sub_floor_cross_band_link_receives_no_signal(link_cache):
+    """-80 dBm mean with a 12 dB clip is audible pre-mask, but 75 MHz
+    away the softer mask leaks 60 dB: -80 + 12 - 60 < -115.  No link
+    exists on either leg, so the receiver never sees a signal and its
+    fading stream is never created."""
+    sim = Simulator()
+    medium = Medium(
+        sim,
+        FixedRssMatrix(default_loss_db=80.0),
+        fading=LogNormalFading(sigma_db=4.0, clip_db=12.0),
+        rng=RngStreams(1),
+        delivery_floor_dbm=-115.0,
+        link_cache=link_cache,
+    )
+    tx = Radio(sim, medium, "tx", (0, 0), 2405.0, 0.0)
+    rx = Radio(sim, medium, "rx", (1, 0), 2480.0, 0.0)
+    seen = []
+    for _ in range(5):
+        tx.transmit(Frame("tx", None, 20), lambda t: None)
+        seen.append(len(rx.active_signals))
+        sim.run_until_idle()
+    assert seen == [0] * 5
+    assert (id(tx), id(rx)) not in medium._link_streams
+
+
+@given(
+    losses=st.lists(
+        st.floats(min_value=40.0, max_value=140.0, allow_nan=False),
+        min_size=1,
+        max_size=12,
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_co_channel_links_never_culled(losses):
+    """On one channel the leakage is zero, so the band rule drops exactly
+    the links the mean-RSS floor drops (mean + clip < floor) — on the fast
+    path and on the reference leg alike."""
+    for link_cache in (True, False):
+        sim = Simulator()
+        matrix = FixedRssMatrix(default_loss_db=300.0)
+        medium = Medium(
+            sim,
+            matrix,
+            fading=LogNormalFading(sigma_db=4.0, clip_db=12.0),
+            rng=RngStreams(1),
+            delivery_floor_dbm=-115.0,
+            link_cache=link_cache,
+        )
+        tx = Radio(sim, medium, "tx", (0, 0), 2460.0, 0.0)
+        peers = []
+        for i, loss in enumerate(losses):
+            matrix.set_loss((0, 0), (i + 1, 0), loss)
+            peers.append(Radio(sim, medium, f"rx{i}", (i + 1, 0), 2460.0, 0.0))
+        if link_cache:
+            got = _batch(medium, tx).radios
+        else:
+            got = [e[0] for e in medium._audible_entries(tx, 0.0, 2460.0)]
+        assert got == [
+            peer for peer, loss in zip(peers, losses) if -loss + 12.0 >= -115.0
+        ]
+
+
+def test_culled_power_budget_matches_closed_form():
+    """tx on 2405 MHz, rx on 2480 MHz at -80 dBm mean, no fading: the
+    link is culled (-80 - 60 dB mask < -115) and its best-case post-mask
+    power over rx's -100 dBm noise is 10**((-80 - 60 + 100) / 10) = 1e-4.
+    A second batch for tx at -10 dBm adds 1e-5 to rx's sum."""
+    from repro.obs.recorder import Observability
+    from repro.phy.vectorized import CULLED_POWER_GAUGE
+
+    obs = Observability(sample_interval_s=None)
+    sim = Simulator(obs=obs)
+    medium = Medium(
+        sim,
+        FixedRssMatrix(default_loss_db=80.0),
+        rng=RngStreams(1),
+        delivery_floor_dbm=-115.0,
+    )
+    tx = Radio(sim, medium, "tx", (0, 0), 2405.0, 0.0)
+    Radio(sim, medium, "rx", (1, 0), 2480.0, 0.0)
+    tx.transmit(Frame("tx", None, 20), lambda t: None)
+    sim.run_until_idle()
+    (gauge,) = obs.registry.of_kind("gauge", CULLED_POWER_GAUGE)
+    assert gauge.read() == pytest.approx(1e-4, rel=1e-9)
+    tx.transmit(Frame("tx", None, 20), lambda t: None)  # cached: no growth
+    sim.run_until_idle()
+    assert gauge.read() == pytest.approx(1e-4, rel=1e-9)
+    medium._gain_cache.fanout_batch(tx, -10.0, 2405.0)
+    assert gauge.read() == pytest.approx(1.1e-4, rel=1e-9)
+
+
+def test_culled_power_budget_off_without_obs():
+    sim = Simulator()
+    medium = Medium(sim, FixedRssMatrix(default_loss_db=80.0), rng=RngStreams(1))
+    tx = Radio(sim, medium, "tx", (0, 0), 2405.0, 0.0)
+    Radio(sim, medium, "rx", (1, 0), 2480.0, 0.0)
+    assert _batch(medium, tx).radios == []
+    assert medium._gain_cache.culled_power_frac_noise_max() == 0.0
 
 
 def test_buffered_fading_draws_match_scalar_normal_calls():

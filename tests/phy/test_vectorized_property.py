@@ -9,10 +9,10 @@ Three layers of guarantees, in decreasing strictness:
    SIMD transcendentals that may differ from libm by a few ulp; the
    contract is "within ``PRESELECT_GUARD_DB``" (it is only ever used to
    *preselect*, never to commit a value).
-3. **Identical traces** — whole-scene runs through the vectorized medium
-   (and, on spectrally separated scenes, the band-sharded medium) must
-   deliver exactly the same frames with the same float-exact outcomes as
-   the scalar kernels.
+3. **Identical traces** — whole-scene runs through the fast path (cached
+   band-audible fan-out batches, batched delivery) must deliver exactly
+   the same frames with the same float-exact outcomes as the brute-force
+   reference leg, on co-channel and on spectrally separated scenes.
 """
 
 import numpy as np
@@ -29,7 +29,7 @@ from repro.phy.propagation import (
     LogDistancePathLoss,
 )
 from repro.phy.radio import Radio
-from repro.phy.vectorized import PRESELECT_GUARD_DB, VectorizedLinkCache
+from repro.phy.vectorized import PRESELECT_GUARD_DB
 from repro.sim.rng import RngStreams
 from repro.sim.simulator import Simulator
 
@@ -147,21 +147,19 @@ def test_no_fading_sample_db_many_is_zeros():
 
 
 # ----------------------------------------------------------------------
-# 4. Whole-scene trace identity: vectorized vs scalar cache
+# 4. Whole-scene trace identity: fast path vs brute-force reference
 # ----------------------------------------------------------------------
 def _delivery_run(
     seed,
     *,
-    vectorized,
-    band_sharding=False,
+    link_cache=True,
+    reference_accumulators=False,
     cross_band=False,
-    sharded_scheduler=None,
 ):
     """Two co-channel transmit chains plus receivers; with ``cross_band``
-    a second network sits 75 MHz away, pre-mask audible (so signals *are*
-    delivered across bands without sharding) but sub-floor post-mask (so
-    sharding drops the cross links).  Returns every delivered frame as a
-    float-exact outcome tuple."""
+    a second network sits 75 MHz away, audible pre-mask but sub-floor
+    post-mask, so the band-audibility rule drops every cross link.
+    Returns every delivered frame as a float-exact outcome tuple."""
     sim = Simulator()
     rng = RngStreams(seed)
     matrix = FixedRssMatrix(default_loss_db=200.0)
@@ -176,8 +174,8 @@ def _delivery_run(
     if cross_band:
         channels["b_tx"] = channels["b_rx"] = 2480.0
     # Strong in-network links (high SINR, BER 0); cross-network mean RSS
-    # -80 dBm: audible pre-mask (floor -115, clip 12) yet dropped by the
-    # shard condition (-80 + 12 - 60 dB mask < -115).
+    # -80 dBm: audible pre-mask (floor -115, clip 12) and, across bands,
+    # below the post-mask floor (-80 + 12 - 60 dB mask < -115).
     for tx in ("a_tx", "b_tx"):
         for rx in positions:
             if rx == tx:
@@ -192,10 +190,8 @@ def _delivery_run(
         fading=LogNormalFading(sigma_db=4.0, clip_db=12.0),
         rng=rng,
         delivery_floor_dbm=-115.0,
-        link_cache=True,
-        vectorized=vectorized,
-        band_sharding=band_sharding,
-        sharded_scheduler=sharded_scheduler,
+        link_cache=link_cache,
+        reference_accumulators=reference_accumulators,
     )
     radios = {
         name: Radio(sim, medium, name, positions[name], channels[name], 0.0, rng=rng)
@@ -236,33 +232,31 @@ def _delivery_run(
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=8, deadline=None)
 def test_vectorized_cache_trace_identical_to_scalar_cache(seed):
-    assert _delivery_run(seed, vectorized=True) == _delivery_run(
-        seed, vectorized=False
-    )
+    """The cached fan-out batches against the brute-force scalar scan
+    (``link_cache=False``) with the same incremental accumulators."""
+    assert _delivery_run(seed) == _delivery_run(seed, link_cache=False)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=8, deadline=None)
 def test_band_sharding_trace_identical_on_separated_bands(seed):
-    """Cross-shard leakage below the delivery floor ⇒ identical traces.
-
-    The cross-band links *are* audible pre-mask (signals cross without
-    sharding, perturbing only sub-floor accumulator bits), and every
-    in-network link runs at BER-0 SINR, so dropping them cannot change
-    any delivered outcome."""
-    sharded = _delivery_run(
-        seed, vectorized=True, band_sharding=True, cross_band=True
+    """Cross-band scene: the fast path and the full reference leg
+    (brute-force scan + reference accumulators) apply the same
+    band-audibility rule, so their traces are identical and no frame
+    crosses the 75 MHz gap."""
+    fast = _delivery_run(seed, cross_band=True)
+    reference = _delivery_run(
+        seed, link_cache=False, reference_accumulators=True, cross_band=True
     )
-    plain = _delivery_run(
-        seed, vectorized=True, band_sharding=False, cross_band=True
-    )
-    assert sharded == plain
+    assert fast == reference
+    # a_tx frames reach only network a; b_tx frames only network b.
+    assert all(rx.startswith(src[0]) for rx, src, *_ in fast)
 
 
 # ----------------------------------------------------------------------
-# 5. Shard-condition unit properties
+# 5. Band-audibility rule: unit properties on both legs
 # ----------------------------------------------------------------------
-def _shard_rig(cross_band):
+def _shard_rig(cross_band, link_cache=True):
     sim = Simulator()
     rng = RngStreams(3)
     matrix = FixedRssMatrix(default_loss_db=80.0)
@@ -272,7 +266,7 @@ def _shard_rig(cross_band):
         fading=LogNormalFading(sigma_db=4.0, clip_db=12.0),
         rng=rng,
         delivery_floor_dbm=-115.0,
-        band_sharding=True,
+        link_cache=link_cache,
     )
     tx = Radio(sim, medium, "tx", (0.0, 0.0), 2405.0, 0.0, rng=rng)
     peers = [
@@ -290,84 +284,46 @@ def _shard_rig(cross_band):
     return medium, tx, peers
 
 
+def _links(medium, tx):
+    """The receivers of ``tx``'s fan-out on its own channel, per leg."""
+    if medium._gain_cache is not None:
+        return medium._gain_cache.fanout_batch(tx, 0.0, tx.channel_mhz).radios
+    return [e[0] for e in medium._audible_entries(tx, 0.0, tx.channel_mhz)]
+
+
 def test_sharding_never_drops_co_channel_links():
-    medium, tx, peers = _shard_rig(cross_band=False)
-    cache = medium._vec_cache
-    assert isinstance(cache, VectorizedLinkCache)
-    radios, _, _ = cache.sharded_fanout_lists(tx, 0.0, tx.channel_mhz)
-    assert set(radios) == set(peers)  # zero leakage: all kept
+    for link_cache in (True, False):
+        medium, tx, peers = _shard_rig(cross_band=False, link_cache=link_cache)
+        assert _links(medium, tx) == peers  # zero leakage: all kept
 
 
 def test_sharding_drops_sub_floor_cross_band_links():
-    medium, tx, peers = _shard_rig(cross_band=True)
-    cache = medium._vec_cache
-    full, _, _ = cache.fanout_lists(tx, 0.0)
-    assert set(full) == set(peers)  # audible pre-mask (-80 + 12 >= -115)
-    sharded, _, _ = cache.sharded_fanout_lists(tx, 0.0, tx.channel_mhz)
-    assert sharded == []  # -80 + 12 - 60 < -115: the whole band drops
-
-
-def test_band_sharding_requires_vectorized():
-    import pytest
-
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Medium(
-            sim,
-            FixedRssMatrix(),
-            rng=RngStreams(1),
-            vectorized=False,
-            band_sharding=True,
-        )
+    for link_cache in (True, False):
+        medium, tx, peers = _shard_rig(cross_band=True, link_cache=link_cache)
+        # Audible pre-mask (-80 + 12 >= -115) but -80 + 12 - 60 < -115:
+        # the whole band drops, on both legs.
+        assert _links(medium, tx) == []
 
 
 # ----------------------------------------------------------------------
-# 6. Sharded scheduler + batched receiver accumulators (DESIGN.md §15)
+# 6. Band event shards + batched receiver accumulators (DESIGN.md §15)
 # ----------------------------------------------------------------------
-@given(seed=st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=8, deadline=None)
-def test_sharded_scheduler_trace_identical_to_unsharded(seed):
-    """Scheduler sharding + the batched delivery loop vs the PR-6
-    vectorized path with a single heap: bit-identical outcomes."""
-    sharded = _delivery_run(seed, vectorized=True, sharded_scheduler=True)
-    plain = _delivery_run(seed, vectorized=True, sharded_scheduler=False)
-    assert sharded == plain
-
-
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=8, deadline=None)
 def test_sharded_scheduler_trace_identical_to_scalar_reference(seed):
-    """The full fast stack (sharded scheduler, batched accumulators,
-    vectorized cache) against the brute-force scalar kernels."""
-    fast = _delivery_run(seed, vectorized=True, sharded_scheduler=True)
-    reference = _delivery_run(seed, vectorized=False)
+    """The full fast stack (band event shards, batched accumulators,
+    cached fan-out batches) against the complete reference leg."""
+    fast = _delivery_run(seed)
+    reference = _delivery_run(
+        seed, link_cache=False, reference_accumulators=True
+    )
     assert fast == reference
-
-
-def test_sharded_scheduler_requires_vectorized():
-    import pytest
-
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Medium(
-            sim,
-            FixedRssMatrix(),
-            rng=RngStreams(1),
-            vectorized=False,
-            sharded_scheduler=True,
-        )
 
 
 def test_sharded_scheduler_registers_band_shards():
     sim = Simulator()
     rng = RngStreams(5)
-    medium = Medium(
-        sim,
-        FixedRssMatrix(default_loss_db=60.0),
-        rng=rng,
-        vectorized=True,
-        sharded_scheduler=True,
-    )
+    medium = Medium(sim, FixedRssMatrix(default_loss_db=60.0), rng=rng)
     radios = [
         Radio(sim, medium, f"n{i}", (float(i), 0.0),
               2405.0 + 5.0 * (i % 3), 0.0, rng=rng)
