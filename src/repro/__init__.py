@@ -25,11 +25,11 @@ The package implements, from scratch:
 
 from . import check, core, dot11, experiments, mac, net, obs, phy, sim
 
-# 0.9.0: band audibility is part of the model — a cross-band link whose
-# best-case post-mask power misses the delivery floor does not exist, on
-# the fast path and the reference leg alike.  The bump keeps cache
-# entries computed under the old link model from being served.
-__version__ = "0.9.0"
+# 0.10.0: fading draws are stateless keyed draws (a pure function of the
+# link key and the source's transmit counter) instead of per-link numpy
+# generators, so every fixed-seed trajectory changed.  The bump keeps
+# cache entries computed under the old draws from being served.
+__version__ = "0.10.0"
 
 from . import campaign, perf  # noqa: E402  (the cache keys on __version__)
 

@@ -87,13 +87,19 @@ from .progress import CampaignStats
 from .queue import CampaignQueue
 
 __all__ = ["CampaignServer", "ServerConfig", "DEFAULT_PORT",
-           "DEFAULT_STATE_DIR"]
+           "DEFAULT_STATE_DIR", "MAX_BODY_BYTES"]
 
 DEFAULT_PORT = 8642
 DEFAULT_STATE_DIR = ".repro-server"
 
 #: Events retained per campaign for late ``/events`` subscribers.
 _MAX_EVENTS = 10_000
+
+#: Largest request body accepted (job specs are small JSON documents).
+MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a client may take to send each request line, header or body.
+_READ_TIMEOUT_S = 30
 
 
 @dataclass(frozen=True)
@@ -597,20 +603,40 @@ class CampaignServer:
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
         try:
-            request = await asyncio.wait_for(reader.readline(), timeout=30)
+            request = await asyncio.wait_for(reader.readline(),
+                                             timeout=_READ_TIMEOUT_S)
             parts = request.decode("latin-1").split()
             if len(parts) < 2:
                 return
             method, target = parts[0].upper(), parts[1]
             headers: Dict[str, str] = {}
             while True:
-                line = await asyncio.wait_for(reader.readline(), timeout=30)
+                line = await asyncio.wait_for(reader.readline(),
+                                              timeout=_READ_TIMEOUT_S)
                 if line in (b"\r\n", b"\n", b""):
                     break
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0") or 0)
-            body = await reader.readexactly(length) if length else b""
+            raw_length = headers.get("content-length", "0") or "0"
+            length = (int(raw_length)
+                      if raw_length.isascii() and raw_length.isdigit()
+                      else -1)
+            if length < 0:
+                self._respond(writer, 400, {
+                    "error": f"bad Content-Length {raw_length!r}",
+                })
+                return
+            if length > MAX_BODY_BYTES:
+                # Answer without reading the body.
+                self._respond(writer, 413, {
+                    "error": f"body of {length} bytes exceeds "
+                             f"{MAX_BODY_BYTES}",
+                })
+                return
+            body = b""
+            if length:
+                body = await asyncio.wait_for(reader.readexactly(length),
+                                              timeout=_READ_TIMEOUT_S)
             await self._route(method, target, body, writer)
         except (asyncio.IncompleteReadError, asyncio.TimeoutError,
                 ConnectionError):
@@ -744,6 +770,7 @@ class CampaignServer:
 
     _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
                 404: "Not Found", 405: "Method Not Allowed",
+                413: "Content Too Large",
                 500: "Internal Server Error",
                 503: "Service Unavailable"}
 

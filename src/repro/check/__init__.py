@@ -1,9 +1,9 @@
 """repro.check — runtime invariants, differential oracle, determinism.
 
-PR-2 doubled the kernel's surface area: every hot path (link-gain
-culling, incremental power accumulators, per-link fading streams) now
-shadows a retained brute-force reference.  This package is the
-correctness layer that continuously cross-checks them:
+Every kernel hot path (the batched band-audible fan-out, incremental
+power accumulators, batched delivery) shadows a retained brute-force
+reference; stateless keyed fading draws are shared by both legs.  This
+package is the correctness layer that continuously cross-checks them:
 
 - :mod:`repro.check.invariants` — opt-in runtime invariants
   (``Simulator(checks=...)`` / ``REPRO_CHECKS=1``): event-time

@@ -9,7 +9,6 @@ benches, EXPERIMENTS.md generation and the command line can enumerate them:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -118,29 +117,17 @@ def run_all(
     fast: bool = True,
     ids: Optional[Sequence[str]] = None,
     *,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     use_cache: bool = False,
 ) -> Dict[str, ResultTable]:
     """Run registered experiments (all, or the ``ids`` subset) -> id: table.
 
-    .. deprecated:: 0.1
-        Calling ``run_all`` without ``jobs=`` keeps the historical
-        one-process sequential behaviour but now warns: batch execution
-        lives in :mod:`repro.campaign` (parallelism, per-job timeouts,
-        retries, result caching).  Pass ``jobs=N`` here to opt in, or use
-        :func:`repro.campaign.run_campaign` directly for multi-seed
-        sweeps and failure reporting.
+    Runs through :mod:`repro.campaign` with ``jobs`` worker processes
+    (default 1: sequential, in process).  Use
+    :func:`repro.campaign.run_campaign` directly for multi-seed sweeps and
+    per-job failure reporting.
     """
     from ..campaign import expand_jobs, run_campaign
-
-    if jobs is None:
-        warnings.warn(
-            "run_all() without jobs= is deprecated; pass jobs=N or use "
-            "repro.campaign.run_campaign for parallel, cached execution",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        jobs = 1
 
     specs = expand_jobs(ids, [seed], fast, all_ids())
     result = run_campaign(specs, jobs=jobs, cache=None if use_cache else False)

@@ -222,9 +222,9 @@ def _bench_mini_run(n_motes: int, sim_s: float = 0.02) -> Dict[str, Any]:
     radio range (~1500 radios at 5k, saturating near ~4800 at 50k), as in
     a real city-scale deployment — so the cost scales with audible-set
     size, not with the global mote count.  World construction stays
-    outside the timed window (the 5k convention); the lazy link-cache and
-    fading-stream builds still land inside it, on the first transmission
-    of each source.
+    outside the timed window (the 5k convention); the lazy link-cache
+    builds (with their fading key columns) still land inside it, on the
+    first transmission of each source.
 
     The pre-window ``gc.collect()`` is measurement hygiene, not a speed
     hack: scene construction churns millions of container objects, and
@@ -424,7 +424,7 @@ def run_bench_suite(
     # The mini_run tiers run best-of-2 with the first round doubling as a
     # warm-up: a tier run in a fresh process (the CI scale job's ``--only
     # mini_run_50k_smoke``) pays the process's first big page-fault wave
-    # inside the timed window — the lazy stream/batch builds are the first
+    # inside the timed window — the lazy link-cache builds are the first
     # large allocations — at up to ~3x the warm cost a full-suite run
     # (already allocator-warm from the previous tier) records.  Best-of-2
     # makes the standalone and in-suite numbers agree and roughly halves

@@ -39,10 +39,14 @@ brute-force reference: every transmission scans every radio with the scalar
 path-loss model and applies the same rule through the same function.  Both
 legs therefore select the same links in the same (registration) order by
 construction, and ``repro check diff`` proves the rest of the fast path
-(batched draws, accumulator updates) equal.  Fading uses **per-link RNG
-streams** (named ``fading.{src}.{dst}``) rather than one shared stream, so
-skipping a link never shifts another link's draw sequence; a stream is only
-created for a link that exists.
+(accumulator updates, delivery) equal.
+
+Fading draws are stateless (:mod:`repro.phy.fading`): a draw is a pure
+function of the link key — a hash of the root seed and the two radio names
+— and the source's transmit sequence number, which the medium counts.  Both
+legs pass their key column for the transmission to the same
+``sample_db_many`` call, so their floats are identical, and skipping a link
+never shifts another link's draws.
 
 Event ordering: at identical timestamps, signal *ends* fire before signal
 *starts* (priority 0 vs 1) so that back-to-back transmissions do not appear
@@ -60,7 +64,7 @@ import numpy as np
 
 from ..sim.rng import RngStreams
 from ..sim.simulator import Simulator
-from .fading import FadingModel, NoFading
+from .fading import FadingModel, NoFading, link_keys
 from .frame import Frame
 from .propagation import PathLossModel
 
@@ -140,8 +144,8 @@ class Signal:
 
 
 #: One reference-path fan-out entry: (receiver, mean RSS at the receiver
-#: in dBm, the per-link fading stream).
-AudibleEntry = Tuple["Radio", float, "np.random.Generator"]
+#: in dBm).
+AudibleEntry = Tuple["Radio", float]
 
 
 def best_case_dbm(
@@ -176,8 +180,8 @@ class Medium:
     fading:
         Per-packet variation model (defaults to none).
     rng:
-        Named RNG streams; fading draws come from per-link streams named
-        ``fading.{source}.{receiver}``.
+        Named RNG streams; their root seed keys the fading draws
+        (:func:`~repro.phy.fading.link_keys`).
     delivery_floor_dbm:
         Signals below this received power are not delivered at all (15 dB
         under the default noise floor), and links whose best-case
@@ -226,7 +230,8 @@ class Medium:
             self._gain_cache = VectorizedLinkCache(self)
         #: channel_mhz -> event-queue shard index (lazily registered).
         self._band_shards: Dict[float, int] = {}
-        self._link_streams: Dict[Tuple[int, int], "np.random.Generator"] = {}
+        #: id(source) -> transmissions begun so far (the fading counter).
+        self._tx_seq: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def register(self, radio: "Radio") -> None:
@@ -265,50 +270,13 @@ class Medium:
         if self._gain_cache is not None:
             self._gain_cache.invalidate()
 
-    def link_fading_stream(
-        self, source: "Radio", receiver: "Radio"
-    ) -> "np.random.Generator":
-        """The per-link fading stream for ``source`` → ``receiver``.
-
-        Keyed on the radio names so a fixed seed reproduces the same draw
-        sequence regardless of registration order, culling, or how many
-        other links exist.
-        """
-        key = (id(source), id(receiver))
-        stream = self._link_streams.get(key)
-        if stream is None:
-            stream = self.rng.stream(f"fading.{source.name}.{receiver.name}")
-            self._link_streams[key] = stream
-        return stream
-
-    def link_fading_streams(
+    def link_keys(
         self, source: "Radio", receivers: Sequence["Radio"]
-    ) -> List["np.random.Generator"]:
-        """Per-link fading streams for ``source`` → each of ``receivers``.
-
-        Same streams (same cache, same ``fading.{src}.{dst}`` names) as
-        :meth:`link_fading_stream`, with the misses created through the
-        batched :meth:`~repro.sim.rng.RngStreams.stream_many` derivation
-        — one vectorized seed computation for the whole fanout instead of
-        ~20 µs of ``SeedSequence`` machinery per link.
-        """
-        link_streams = self._link_streams
-        source_id = id(source)
-        missing = [
-            receiver
-            for receiver in receivers
-            if (source_id, id(receiver)) not in link_streams
-        ]
-        if missing:
-            prefix = f"fading.{source.name}."
-            streams = self.rng.stream_many(
-                [prefix + receiver.name for receiver in missing]
-            )
-            for receiver, stream in zip(missing, streams):
-                link_streams[(source_id, id(receiver))] = stream
-        return [
-            link_streams[(source_id, id(receiver))] for receiver in receivers
-        ]
+    ) -> np.ndarray:
+        """Fading link keys for ``source`` → each of ``receivers``."""
+        return link_keys(
+            self.rng.root_seed, source.name, [radio.name for radio in receivers]
+        )
 
     # ------------------------------------------------------------------
     def _audible_entries(
@@ -326,8 +294,8 @@ class Medium:
                 tx_power_dbm, source.position, radio.position
             )
             if best_case_dbm(radio, channel_mhz, mean_rss, headroom) < floor:
-                continue  # no link: its fading stream is never touched
-            entries.append((radio, mean_rss, self.link_fading_stream(source, radio)))
+                continue  # no link
+            entries.append((radio, mean_rss))
         return entries
 
     def begin_transmission(
@@ -370,6 +338,9 @@ class Medium:
             obs.on_transmission(source.name, channel_mhz, airtime)
         floor = self.delivery_floor_dbm
         fading = self.fading
+        tx_seq = self._tx_seq
+        counter = tx_seq.get(id(source), 0)
+        tx_seq[id(source)] = counter + 1
         delivered: List[Tuple["Radio", Signal]] = []
         cache = self._gain_cache
         if cache is not None:
@@ -385,8 +356,7 @@ class Medium:
             batch = cache.fanout_batch(source, tx_power_dbm, channel_mhz)
             radios = batch.radios
             if radios:
-                draws = fading.sample_db_many(batch.streams)
-                rss_arr = batch.means + np.asarray(draws)
+                rss_arr = batch.means + fading.sample_db_many(batch.keys, counter)
                 keep = rss_arr >= floor
                 if keep.all():
                     indices = range(len(radios))
@@ -436,10 +406,13 @@ class Medium:
                         radio._maybe_lock(signal)
                     append((radio, signal))
         else:
-            for radio, mean_rss, stream in self._audible_entries(
-                source, tx_power_dbm, channel_mhz
-            ):
-                rss = mean_rss + fading.sample_db(stream)
+            entries = self._audible_entries(source, tx_power_dbm, channel_mhz)
+            radios = [radio for radio, _ in entries]
+            draws = fading.sample_db_many(
+                self.link_keys(source, radios), counter
+            ).tolist()
+            for (radio, mean_rss), draw in zip(entries, draws):
+                rss = mean_rss + draw
                 if rss < floor:
                     continue
                 signal = Signal(transmission, rss)

@@ -24,10 +24,12 @@ same (registration) order.  The build gets there in two steps:
    :func:`~repro.phy.medium.best_case_dbm` — the very calls the reference
    makes — and keep the scalar mean RSS.
 
-Fading streams are created only for confirmed links.  They are named per
-link, so which links exist never moves another link's draws.  Registering
-a radio appends it to every cached batch it has a link in: it is last in
-registration order, which is where a rebuild would place it.
+Each confirmed link gets its fading key (:func:`~repro.phy.fading.
+link_keys`), a hash of the root seed and the two radio names; draws are
+elementwise in the key column, so which links exist never moves another
+link's draws.  Registering a radio appends it to every cached batch it has
+a link in: it is last in registration order, which is where a rebuild
+would place it.
 
 Error budget
 ------------
@@ -76,7 +78,7 @@ class FanoutBatch:
     Everything the batched delivery loop in ``Medium.begin_transmission``
     needs per link, gathered once and reused for every frame:
 
-    - ``streams``: the per-link fading streams, in link order;
+    - ``keys``: the uint64 fading link keys, in link order;
     - ``means`` as a float64 array so the per-packet RSS (`mean + draw`)
       computes in one vector add (IEEE elementwise add — bit-identical to
       the reference's scalar sums);
@@ -92,13 +94,13 @@ class FanoutBatch:
     """
 
     __slots__ = (
-        "radios", "streams", "means", "decode_gains", "sense_gains",
+        "radios", "keys", "means", "decode_gains", "sense_gains",
         "co_channel", "inline",
     )
 
     def __init__(self) -> None:
         self.radios: List["Radio"] = []
-        self.streams: List[object] = []
+        self.keys = np.empty(0, dtype=np.uint64)
         self.means = np.empty(0)
         self.decode_gains: List[float] = []
         self.sense_gains: List[float] = []
@@ -109,7 +111,7 @@ class FanoutBatch:
         self,
         radios: Sequence["Radio"],
         means: Sequence[float],
-        streams: Sequence[object],
+        keys: np.ndarray,
         channel_mhz: float,
     ) -> None:
         """Append links (in order) for a transmission on ``channel_mhz``."""
@@ -129,7 +131,7 @@ class FanoutBatch:
             # must not take the inlined delivery loop.
             self.inline.append(type(radio).on_signal_start is base_start)
         self.radios.extend(radios)
-        self.streams.extend(streams)
+        self.keys = np.append(self.keys, keys)
         self.means = np.append(self.means, np.asarray(means, dtype=np.float64))
 
 
@@ -284,7 +286,7 @@ class VectorizedLinkCache:
                 culled_mw += 10.0 ** (best / 10.0)
                 continue
             batch.extend(
-                [radio], [mean_rss], [medium.link_fading_stream(source, radio)],
+                [radio], [mean_rss], medium.link_keys(source, [radio]),
                 channel_mhz,
             )
         if culled_mw and medium.sim.obs is not None:
@@ -348,11 +350,10 @@ class VectorizedLinkCache:
             frac[radios.index(source)] = 0.0
             if frac.any():
                 self._add_culled(frac)
-        # Batched stream creation for the surviving links only: one
-        # vectorized seed derivation instead of one SeedSequence each.
-        streams = medium.link_fading_streams(source, survivors)
         batch = FanoutBatch()
-        batch.extend(survivors, means, streams, channel_mhz)
+        batch.extend(
+            survivors, means, medium.link_keys(source, survivors), channel_mhz
+        )
         return batch
 
     # -- error budget ----------------------------------------------------

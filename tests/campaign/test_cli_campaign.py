@@ -35,9 +35,25 @@ def dummy_registry(monkeypatch):
 # registry.run_all through the campaign engine
 
 
-def test_run_all_warns_without_jobs(dummy_registry):
-    with pytest.warns(DeprecationWarning, match="repro.campaign"):
+def test_run_all_defaults_to_sequential_without_warning(
+    dummy_registry, monkeypatch
+):
+    import warnings
+
+    import repro.campaign as campaign
+
+    seen_jobs = []
+    real_run_campaign = campaign.run_campaign
+
+    def spy(specs, jobs, **kwargs):
+        seen_jobs.append(jobs)
+        return real_run_campaign(specs, jobs=jobs, **kwargs)
+
+    monkeypatch.setattr(campaign, "run_campaign", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         tables = run_all(seed=3, fast=True)
+    assert seen_jobs == [1]
     assert set(tables) == {"d1", "d2"}
     assert tables["d1"].rows[0]["seed"] == 3
 

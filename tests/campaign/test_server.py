@@ -11,6 +11,7 @@ recovery produces byte-identical results.
 
 import os
 import random
+import socket
 import subprocess
 import sys
 import threading
@@ -22,7 +23,7 @@ import pytest
 
 from repro.campaign import JobSpec, run_campaign
 from repro.campaign.client import CampaignClient, ServerError
-from repro.campaign.server import CampaignServer, ServerConfig
+from repro.campaign.server import MAX_BODY_BYTES, CampaignServer, ServerConfig
 from repro.experiments.results import ResultTable
 
 KNOWN_IDS = ["alpha", "beta"]
@@ -159,6 +160,50 @@ def test_submit_validation_errors(tmp_path):
         with pytest.raises(ServerError) as err:
             client.campaign("nope")
         assert err.value.status == 404
+
+
+def _raw_post(port, content_length, body=b""):
+    """POST /campaigns over a bare socket; (status, response bytes)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(
+            b"POST /campaigns HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: " + content_length.encode("latin-1")
+            + b"\r\n\r\n" + body
+        )
+        response = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            response += chunk
+    return int(response.split(b" ", 2)[1]), response
+
+
+def test_oversize_body_rejected_without_reading_it(tmp_path):
+    with running_server(tmp_path) as (server, client):
+        # The body is never sent: the server must answer from the header.
+        status, response = _raw_post(server.port, str(MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert b"exceeds" in response
+        assert client.info()["campaigns"] == 0
+
+
+@pytest.mark.parametrize("length", ["-5", "abc", "1e3", "\xb2"])
+def test_malformed_content_length_is_a_400(tmp_path, length):
+    with running_server(tmp_path) as (server, client):
+        status, response = _raw_post(server.port, length)
+        assert status == 400
+        assert b"Content-Length" in response
+        assert client.info()["server"] == "repro-campaign"  # still serving
+
+
+def test_body_at_the_limit_is_read(tmp_path):
+    with running_server(tmp_path) as (server, _client):
+        spec = b'{"ids": ["missing-exhibit"], "seeds": [1]}'
+        body = b" " * (MAX_BODY_BYTES - len(spec)) + spec
+        status, response = _raw_post(server.port, str(len(body)), body)
+        assert status == 400  # read and parsed: the exhibit is unknown
+        assert b"missing-exhibit" in response
 
 
 def test_server_info_and_campaign_listing(tmp_path):

@@ -17,6 +17,7 @@ Three properties are load-bearing and verified here:
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -188,8 +189,8 @@ def test_audible_set_respects_fading_headroom():
 
 def test_unbounded_fading_disables_culling():
     class WildFading(FadingModel):
-        def sample_db(self, rng):  # pragma: no cover - never sampled here
-            return 0.0
+        def sample_db_many(self, keys, counter):  # pragma: no cover
+            return np.zeros(len(keys))
 
     sim, matrix, medium = _cache_rig(fading=WildFading())
     matrix.set_loss((0, 0), (1, 0), 300.0)
@@ -235,7 +236,7 @@ def test_register_updates_match_full_rebuild_bitwise():
 
     def columns(batch):
         return list(zip(
-            batch.radios, batch.means.tolist(), batch.streams,
+            batch.radios, batch.means.tolist(), batch.keys.tolist(),
             batch.decode_gains, batch.sense_gains, batch.co_channel,
             batch.inline,
         ))
@@ -298,8 +299,7 @@ def test_invalidate_link_cache_after_position_change():
 def test_sub_floor_cross_band_link_receives_no_signal(link_cache):
     """-80 dBm mean with a 12 dB clip is audible pre-mask, but 75 MHz
     away the softer mask leaks 60 dB: -80 + 12 - 60 < -115.  No link
-    exists on either leg, so the receiver never sees a signal and its
-    fading stream is never created."""
+    exists on either leg, so the receiver never sees a signal."""
     sim = Simulator()
     medium = Medium(
         sim,
@@ -317,7 +317,10 @@ def test_sub_floor_cross_band_link_receives_no_signal(link_cache):
         seen.append(len(rx.active_signals))
         sim.run_until_idle()
     assert seen == [0] * 5
-    assert (id(tx), id(rx)) not in medium._link_streams
+    if link_cache:
+        assert _batch(medium, tx).radios == []
+    else:
+        assert medium._audible_entries(tx, 0.0, tx.channel_mhz) == []
 
 
 @given(
@@ -393,20 +396,6 @@ def test_culled_power_budget_off_without_obs():
     Radio(sim, medium, "rx", (1, 0), 2480.0, 0.0)
     assert _batch(medium, tx).radios == []
     assert medium._gain_cache.culled_power_frac_noise_max() == 0.0
-
-
-def test_buffered_fading_draws_match_scalar_normal_calls():
-    """LogNormalFading batches its generator reads; the batched sequence
-    must be bit-identical to per-call ``rng.normal(0, sigma)`` draws."""
-    import numpy as np
-
-    fading = LogNormalFading(sigma_db=4.0, clip_db=12.0)
-    rng = np.random.default_rng(99)
-    reference = np.random.default_rng(99)
-    for _ in range(3 * LogNormalFading.BUFFER_DRAWS + 7):  # cross refills
-        expected = reference.normal(0.0, 4.0)
-        expected = min(max(expected, -12.0), 12.0)
-        assert fading.sample_db(rng) == expected
 
 
 # ----------------------------------------------------------------------

@@ -54,51 +54,3 @@ def test_fork_reproducible():
 def test_non_int_seed_rejected():
     with pytest.raises(TypeError):
         RngStreams("seed")  # type: ignore[arg-type]
-
-
-def test_stream_many_matches_stream():
-    streams = RngStreams(42)
-    names = [f"fading.tx{i}.rx{j}" for i in range(4) for j in range(4)]
-    scalar = [RngStreams(42).stream(n).random(8).tolist() for n in names]
-    batch = [g.random(8).tolist() for g in streams.stream_many(names)]
-    assert batch == scalar
-
-
-def test_stream_many_shares_cache_with_stream():
-    streams = RngStreams(7)
-    first = streams.stream("fading.a.b")
-    (batched,) = streams.stream_many(["fading.a.b"])
-    assert batched is first
-    (again,) = streams.stream_many(["fading.c.d"])
-    assert streams.stream("fading.c.d") is again
-
-
-def test_stream_many_empty_is_noop():
-    assert RngStreams(1).stream_many([]) == []
-
-
-try:
-    from hypothesis import given, settings, strategies as st
-except ImportError:  # pragma: no cover
-    given = None
-
-if given is not None:
-    @given(
-        st.integers(min_value=0, max_value=2**200 + 999),
-        st.lists(st.integers(min_value=0, max_value=2**16),
-                 min_size=1, max_size=8, unique=True),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_stream_many_bit_identical_property(root, keys):
-        """The vectorised SeedSequence replica must match numpy bit-for-bit
-        for arbitrary root entropy (including > 2**128) and spawn keys."""
-        names = [f"s{k}" for k in keys]
-        scalar = [
-            RngStreams(root).stream(n).standard_normal(4).tolist()
-            for n in names
-        ]
-        batch = [
-            g.standard_normal(4).tolist()
-            for g in RngStreams(root).stream_many(names)
-        ]
-        assert batch == scalar
