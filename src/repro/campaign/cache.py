@@ -102,7 +102,7 @@ class ResultCache:
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; when given,
         every :class:`CacheStats` increment is mirrored into counters
-        named ``campaign.cache.<field>`` so the server's ``/cache/stats``
+        named ``campaign.cache.<field>`` so the server's ``/metrics``
         endpoint and obs exports see live values.
     """
 
@@ -262,28 +262,6 @@ class ResultCache:
             "bytes": total_bytes,
             "by_exhibit": dict(sorted(by_exhibit.items())),
         }
-
-    def stats_snapshot(self) -> Dict[str, Any]:
-        """Counters + directory summary, the ``GET /cache/stats`` payload."""
-        with self._lock:
-            counters = self.stats.to_dict()
-        snap = {
-            "root": str(self.root),
-            "version": self.version,
-            "max_bytes": self.max_bytes,
-        }
-        snap.update(counters)
-        total = 0
-        count = 0
-        for path in self.entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-            count += 1
-        snap["entries"] = count
-        snap["bytes"] = total
-        return snap
 
     # ------------------------------------------------------------------
     def _enforce_budget(self, protect: Optional[Path] = None) -> int:

@@ -91,6 +91,15 @@ def dot11b_mac_params() -> MacParams:
     )
 
 
+#: Shared by every :class:`Dot11Radio` built without a config (frozen).
+_DOT11B_CONFIG = RadioConfig(
+    sensitivity_dbm=-84.0,
+    noise_floor_dbm=-95.0,
+    capture_threshold_db=-1.0,
+    co_channel_tolerance_mhz=0.5,
+)
+
+
 class Dot11Radio(Radio):
     """A radio whose receiver false-locks onto overlapped-channel energy."""
 
@@ -98,15 +107,7 @@ class Dot11Radio(Radio):
         kwargs.setdefault("mask", dot11b_mask())
         # The sensing path and decode path share the wide 11b filter.
         kwargs.setdefault("cca_mask", kwargs["mask"])
-        kwargs.setdefault(
-            "config",
-            RadioConfig(
-                sensitivity_dbm=-84.0,
-                noise_floor_dbm=-95.0,
-                capture_threshold_db=-1.0,
-                co_channel_tolerance_mhz=0.5,
-            ),
-        )
+        kwargs.setdefault("config", _DOT11B_CONFIG)
         super().__init__(*args, **kwargs)
         self.false_locks = 0
 
@@ -139,7 +140,6 @@ class Dot11Radio(Radio):
         self.current_reception = Reception(
             self,
             signal,
-            self._bit_rng,
             ber_model=dbpsk_ber,
             bit_rate_bps=DOT11B_BIT_RATE_BPS,
         )

@@ -19,17 +19,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
 from ..phy.frame import Frame
 from ..phy.medium import Transmission
-from ..phy.radio import Radio, RadioState
-from .cca import CcaPolicy
-from .params import MacParams
+from ..phy.radio import RadioState
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..sim.simulator import Simulator
-    from .stats import MacStats
+    from .mac import Mac
 
 __all__ = ["CsmaTransaction"]
 
@@ -39,22 +34,17 @@ class CsmaTransaction:
 
     def __init__(
         self,
-        sim: "Simulator",
-        radio: Radio,
-        params: MacParams,
-        cca_policy: CcaPolicy,
-        stats: "MacStats",
-        rng: np.random.Generator,
+        mac: "Mac",
         frame: Frame,
         on_sent: Callable[[Frame], None],
         on_failure: Callable[[Frame], None],
     ) -> None:
-        self.sim = sim
-        self.radio = radio
-        self.params = params
-        self.cca_policy = cca_policy
-        self.stats = stats
-        self.rng = rng
+        self.mac = mac
+        self.sim = mac.sim
+        self.radio = mac.radio
+        self.params = params = mac.params
+        self.cca_policy = mac.cca_policy
+        self.stats = mac.stats
         self.frame = frame
         self.on_sent = on_sent
         self.on_failure = on_failure
@@ -88,7 +78,7 @@ class CsmaTransaction:
         )
 
     def _backoff(self) -> None:
-        slots = int(self.rng.integers(0, 2**self._be))
+        slots = int(self.mac.rng.integers(0, 2**self._be))
         delay = slots * self.params.unit_backoff_s
         if self.sim.obs is not None:
             self._obs_backoff = (self.sim.now, delay)

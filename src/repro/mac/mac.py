@@ -19,6 +19,7 @@ import numpy as np
 from ..phy.errors import FrameReception
 from ..phy.frame import Frame
 from ..phy.radio import Radio
+from ..sim.rng import RngStreams
 from ..sim.simulator import Simulator
 from .cca import CcaPolicy, FixedCcaThreshold
 from .csma import CsmaTransaction
@@ -38,13 +39,17 @@ class Mac:
         self,
         sim: Simulator,
         radio: Radio,
-        rng: np.random.Generator,
+        rng: RngStreams,
         params: Optional[MacParams] = None,
         cca_policy: Optional[CcaPolicy] = None,
     ) -> None:
         self.sim = sim
         self.radio = radio
-        self.rng = rng
+        #: ``mac.{name}`` is resolved on the first backoff (:attr:`rng`):
+        #: in a large scene most MACs never back off, and a named
+        #: stream's values do not depend on when it is built.
+        self._rng_streams = rng
+        self._rng: Optional[np.random.Generator] = None
         self.params = params if params is not None else MacParams()
         self.cca_policy = cca_policy if cca_policy is not None else FixedCcaThreshold()
         self.stats = MacStats()
@@ -60,6 +65,14 @@ class Mac:
         self.cca_policy.attach(self)
         if sim.obs is not None:
             sim.obs.register_mac(self)
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The MAC's ``mac.{name}`` backoff stream, resolved on first use."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self._rng_streams.stream(f"mac.{self.name}")
+        return rng
 
     # ------------------------------------------------------------------
     # Transmit path
@@ -99,15 +112,7 @@ class Mac:
             return
         frame = self._queue.popleft()
         self._active = CsmaTransaction(
-            sim=self.sim,
-            radio=self.radio,
-            params=self.params,
-            cca_policy=self.cca_policy,
-            stats=self.stats,
-            rng=self.rng,
-            frame=frame,
-            on_sent=self._on_sent,
-            on_failure=self._on_access_failure,
+            self, frame, self._on_sent, self._on_access_failure
         )
         self._active.start()
 
@@ -161,15 +166,7 @@ class Mac:
             attempt=self._retries,
         )
         self._active = CsmaTransaction(
-            sim=self.sim,
-            radio=self.radio,
-            params=self.params,
-            cca_policy=self.cca_policy,
-            stats=self.stats,
-            rng=self.rng,
-            frame=frame,
-            on_sent=self._on_sent,
-            on_failure=self._on_access_failure,
+            self, frame, self._on_sent, self._on_access_failure
         )
         self._active.start()
 

@@ -91,6 +91,10 @@ class SpectralMask:
 class PiecewiseLinearMask(SpectralMask):
     """Piecewise-linear attenuation over |Δf|, capped at ``max_db``.
 
+    Immutable: the curve is stored as tuples and its ``_key``/hash are
+    computed once, so one instance can be shared by every radio and
+    equality/hashing (the link cache groups radios by mask) cost O(1).
+
     Parameters
     ----------
     points:
@@ -116,12 +120,21 @@ class PiecewiseLinearMask(SpectralMask):
             raise ValueError("mask attenuation must be non-decreasing")
         if max_db < attens[-1]:
             raise ValueError("max_db must be >= the last point's attenuation")
-        self._freqs = list(freqs)
-        self._attens = list(attens)
-        self.max_db = max_db
+        self._freqs = tuple(freqs)
+        self._attens = tuple(attens)
+        self._max_db = max_db
+        self._key_value = (self._freqs, self._attens, max_db)
+        self._hash = hash((type(self), self._key_value))
+
+    @property
+    def max_db(self) -> float:
+        return self._max_db
 
     def _key(self) -> tuple:
-        return (tuple(self._freqs), tuple(self._attens), self.max_db)
+        return self._key_value
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def leakage_db(self, delta_f_mhz: float) -> float:
         df = abs(delta_f_mhz)
@@ -244,9 +257,15 @@ CC2420_LEAKAGE_POINTS: Tuple[Tuple[float, float], ...] = (
 )
 
 
+_DEFAULT_MASK = PiecewiseLinearMask(CC2420_LEAKAGE_POINTS, max_db=60.0)
+
+
 def default_mask() -> PiecewiseLinearMask:
-    """The CC2420-calibrated *decode-path* mask (CPRR anchors, Fig. 4)."""
-    return PiecewiseLinearMask(CC2420_LEAKAGE_POINTS, max_db=60.0)
+    """The CC2420-calibrated *decode-path* mask (CPRR anchors, Fig. 4).
+
+    One shared (immutable) instance.
+    """
+    return _DEFAULT_MASK
 
 
 #: Sensing-path (CCA/RSSI) rejection anchors.  The CC2420's RSSI channel
@@ -274,6 +293,8 @@ CCA_LEAKAGE_POINTS: Tuple[Tuple[float, float], ...] = (
 #: Kept for backwards compatibility / ablations: a flat extra rejection.
 CCA_EXTRA_REJECTION_DB = 5.0
 
+_DEFAULT_CCA_MASK = PiecewiseLinearMask(CCA_LEAKAGE_POINTS, max_db=66.0)
+
 
 def default_cca_mask(base: SpectralMask | None = None) -> SpectralMask:
     """The sensing-path mask used for CCA / RSSI-register measurements.
@@ -281,15 +302,17 @@ def default_cca_mask(base: SpectralMask | None = None) -> SpectralMask:
     ``base`` is accepted for signature compatibility; when a caller supplies
     a custom decode mask (e.g. the 802.11b substrate) the sensing path
     falls back to a flat extra rejection on top of it, otherwise the
-    CC2420-calibrated :data:`CCA_LEAKAGE_POINTS` curve is used.
+    CC2420-calibrated :data:`CCA_LEAKAGE_POINTS` curve is used (one
+    shared, immutable instance).
     """
     if base is None or _is_default_decode_mask(base):
-        return PiecewiseLinearMask(CCA_LEAKAGE_POINTS, max_db=66.0)
+        return _DEFAULT_CCA_MASK
     return ShiftedMask(base, extra_db=CCA_EXTRA_REJECTION_DB)
 
 
 def _is_default_decode_mask(mask: SpectralMask) -> bool:
+    if mask is _DEFAULT_MASK:
+        return True
     if not isinstance(mask, PiecewiseLinearMask):
         return False
-    points = tuple(zip(mask._freqs, mask._attens))
-    return points == CC2420_LEAKAGE_POINTS
+    return tuple(zip(mask._freqs, mask._attens)) == CC2420_LEAKAGE_POINTS

@@ -29,6 +29,8 @@ from math import log10 as _log10
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
+import numpy as np
+
 from ..sim.rng import RngStreams
 from ..sim.simulator import Simulator
 from ..sim.units import dbm_to_mw, mw_to_dbm
@@ -71,6 +73,10 @@ class RadioConfig:
     cca_averaging: bool = False
 
 
+#: Shared by every radio built without a config (the dataclass is frozen).
+_DEFAULT_CONFIG = RadioConfig()
+
+
 class Radio:
     """One transceiver bound to a medium, a position and a channel."""
 
@@ -97,15 +103,18 @@ class Radio:
         #: The CCA/RSSI sensing path rejects off-channel energy a few dB
         #: more sharply than the demodulator's interference coupling.
         self.cca_mask = cca_mask if cca_mask is not None else default_cca_mask(self.mask)
-        self.config = config if config is not None else RadioConfig()
+        self.config = config if config is not None else _DEFAULT_CONFIG
         #: Hot-path copies of the (frozen) config scalars: the lock
         #: decision tree reads them once per delivered signal, where the
         #: dataclass attribute indirection is measurable.
         self._sensitivity_dbm = self.config.sensitivity_dbm
         self._capture_threshold_db = self.config.capture_threshold_db
         self._co_channel_tolerance_mhz = self.config.co_channel_tolerance_mhz
-        rng_streams = rng if rng is not None else medium.rng
-        self._bit_rng = rng_streams.stream(f"biterrors.{name}")
+        #: ``biterrors.{name}`` is resolved on the first binomial draw
+        #: (:attr:`bit_rng`): most radios never draw one, and a named
+        #: stream's values do not depend on when it is built.
+        self._rng_streams = rng if rng is not None else medium.rng
+        self._bit_rng: Optional[np.random.Generator] = None
         self.state = RadioState.IDLE
         self.active_signals: List[Signal] = []
         self.current_reception: Optional[Reception] = None
@@ -138,12 +147,23 @@ class Radio:
         self._trace = sim.trace
         #: Band sub-heap index for this radio's timers and signal events
         #: (``None``: the main event heap).  Assigned by the medium during
-        #: registration when the sharded scheduler is enabled; MAC layers
-        #: pass it as ``shard=`` when scheduling band-local events.
+        #: registration when it runs with the link cache (band event
+        #: shards); MAC layers pass it as ``shard=`` when scheduling
+        #: band-local events.
         self.event_shard: Optional[int] = None
         medium.register(self)
         if sim.obs is not None:
             sim.obs.register_radio(self)
+
+    @property
+    def bit_rng(self) -> np.random.Generator:
+        """The radio's ``biterrors.{name}`` stream, resolved on first use."""
+        rng = self._bit_rng
+        if rng is None:
+            rng = self._bit_rng = self._rng_streams.stream(
+                f"biterrors.{self.name}"
+            )
+        return rng
 
     # ------------------------------------------------------------------
     # Listener plumbing
@@ -419,7 +439,7 @@ class Radio:
                     rssi=round(signal.rx_power_dbm, 2),
                 )
             return
-        self.current_reception = Reception(self, signal, self._bit_rng)
+        self.current_reception = Reception(self, signal)
         if self._trace.enabled:
             self.sim.trace.emit(
                 "rx_lock", radio=self.name, frame=signal.frame.frame_id

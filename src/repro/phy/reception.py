@@ -15,8 +15,6 @@ from __future__ import annotations
 from math import log10 as _log10
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
 from .constants import BIT_RATE_BPS
 from .errors import FrameReception
 from .medium import Signal
@@ -36,7 +34,6 @@ class Reception:
     __slots__ = (
         "radio",
         "signal",
-        "rng",
         "ber_model",
         "bit_rate_bps",
         "start_time",
@@ -50,13 +47,11 @@ class Reception:
         self,
         radio: "Radio",
         signal: Signal,
-        rng: np.random.Generator,
         ber_model: BerModel = oqpsk_ber,
         bit_rate_bps: int = BIT_RATE_BPS,
     ) -> None:
         self.radio = radio
         self.signal = signal
-        self.rng = rng
         self.ber_model = ber_model
         self.bit_rate_bps = bit_rate_bps
         self.start_time = radio.sim.now
@@ -123,7 +118,11 @@ class Reception:
         ber = self.ber_model(self._current_sinr_db())
         self.sampled_bits = cumulative_bits
         if ber > 0.0:
-            self.errored_bits += int(self.rng.binomial(n_bits, min(ber, 1.0)))
+            # The radio's bit-error stream is resolved here, on its first
+            # draw: most locked frames see ber == 0 and never draw.
+            self.errored_bits += int(
+                self.radio.bit_rng.binomial(n_bits, min(ber, 1.0))
+            )
 
     def _current_sinr_db(self) -> float:
         radio = self.radio

@@ -4,7 +4,15 @@ Every stateful stochastic decision in the simulator (backoff draws,
 bit-error sampling, topology placement, ...) pulls from a *named* stream so
 that adding randomness to one component never perturbs another.  Streams are
 derived from a single root seed with ``numpy``'s ``SeedSequence.spawn``-style
-keying, so a run is fully determined by ``(root_seed, stream names used)``.
+keying on ``crc32(name)``, so a run is fully determined by
+``(root_seed, stream names used)``.
+
+A stream's values depend only on the root seed and its name, never on when
+(or whether) other streams were built.  Components therefore resolve their
+stream on first draw: a MAC looks up ``mac.{name}`` at its first backoff and
+a radio ``biterrors.{name}`` at its first bit-error draw, so a large scene
+builds generators only for the nodes that draw.  :meth:`RngStreams.stream`
+is the one place a generator is built.
 
 Per-packet fading keeps no stream at all: its draws are a pure function of
 a link key derived from :attr:`RngStreams.root_seed` and the source's

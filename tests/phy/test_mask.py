@@ -194,3 +194,23 @@ def test_mask_subclass_without_key_compares_by_identity():
 
     a, b = Flat(), Flat()
     assert a == a and a != b
+
+
+def test_default_masks_are_shared_immutable_values():
+    """Every radio built without a mask shares one instance of each
+    default curve; the curve is stored as tuples and cannot be
+    reassigned, so the sharing is safe."""
+    assert default_mask() is default_mask()
+    assert default_cca_mask() is default_cca_mask()
+    assert default_cca_mask(default_mask()) is default_cca_mask()
+    for mask in (default_mask(), default_cca_mask()):
+        assert isinstance(mask._freqs, tuple)
+        assert isinstance(mask._attens, tuple)
+        assert isinstance(mask._key(), tuple)
+        with pytest.raises(AttributeError):
+            mask.max_db = 1.0
+    # A separately built curve with the same points is the same value.
+    rebuilt = PiecewiseLinearMask(CC2420_LEAKAGE_POINTS, max_db=60.0)
+    assert rebuilt is not default_mask()
+    assert rebuilt == default_mask() and hash(rebuilt) == hash(default_mask())
+    assert default_cca_mask(rebuilt) is default_cca_mask()
