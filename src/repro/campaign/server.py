@@ -64,6 +64,7 @@ import asyncio
 import hashlib
 import json
 import multiprocessing
+import os
 import threading
 import time
 import traceback
@@ -97,6 +98,27 @@ MAX_BODY_BYTES = 1 << 20
 
 #: Seconds a client may take to send each request line, header or body.
 _READ_TIMEOUT_S = 30
+
+#: How often a pool worker checks that the server that spawned it lives.
+_PARENT_POLL_S = 0.5
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Pool-worker initializer: exit when the server process is gone.
+
+    A SIGKILLed server cannot shut its pool down, and its spawned
+    workers would otherwise be reparented and wait forever on a call
+    queue nobody writes to (keeping the multiprocessing resource tracker
+    alive with them).  A daemon thread polls the parent pid and ends the
+    worker with ``os._exit`` once it changes.
+    """
+
+    def _watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=_watch, name="parent-watch", daemon=True).start()
 
 
 @dataclass(frozen=True)
@@ -270,10 +292,13 @@ class CampaignServer:
             # Spawned (not forked) workers: a forked pool child would
             # inherit the listening socket, and after a SIGKILL of the
             # server the orphaned workers would keep the port bound —
-            # the restarted server could never come back up.
+            # the restarted server could never come back up.  Each
+            # worker also exits on its own once the server is gone.
             self._pool = ProcessPoolExecutor(
                 max_workers=self.config.jobs,
                 mp_context=multiprocessing.get_context("spawn"),
+                initializer=_exit_with_parent,
+                initargs=(os.getpid(),),
             )
         self._server = await asyncio.start_server(
             self._handle_client, self.config.host, self.config.port

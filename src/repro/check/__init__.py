@@ -1,7 +1,7 @@
 """repro.check — runtime invariants, differential oracle, determinism.
 
-Every kernel hot path (the batched band-audible fan-out, incremental
-power accumulators, batched delivery) shadows a retained brute-force
+Every kernel hot path (the batched band-audible fan-out, the on-air
+table and the power sums folded from it) shadows a retained brute-force
 reference; stateless keyed fading draws are shared by both legs.  This
 package is the correctness layer that continuously cross-checks them:
 

@@ -22,20 +22,43 @@ __all__ = [
 ]
 
 
+def _reaching_records(radio: Any):
+    """The on-air records that reach a folding radio, oldest first."""
+    return [r for r in radio.medium.on_air.values() if r.reaches(radio)]
+
+
 def corrupt_sense_accumulator(radio: Any, extra_mw: float) -> None:
-    """Inject drift into the radio's incremental sensing-path sum.
+    """Inject drift into the radio's sensing-path power sum.
 
     Mimics the class of bug the resample invariant exists for: an
     incremental update applied twice / with the wrong gain, leaving the
-    running sum out of step with the active-signal list.
+    sum out of step with the signals on air.  For an eager radio the
+    running sum is skewed; for a radio folding the on-air table, the
+    contribution its newest reaching record hands the fold is.
     """
-    radio._sense_sum_mw += extra_mw
+    if not radio._folds:
+        radio._sense_sum_mw += extra_mw
+        return
+    records = _reaching_records(radio)
+    if not records:
+        raise ValueError(f"no on-air signal reaches radio {radio.name!r}")
+    record = records[-1]
+    record.sense_mw[radio] = (
+        record.contribution_mw(radio, record.sense_gains) + extra_mw
+    )
 
 
 def negate_sense_accumulator(radio: Any) -> None:
-    """Flip the accumulator's sign (caught by the non-negativity check
-    as soon as the sum is non-zero)."""
-    radio._sense_sum_mw = -abs(radio._sense_sum_mw)
+    """Flip the sensing-path sum's sign (caught by the non-negativity
+    check as soon as the sum is non-zero): the eager running sum, or
+    every contribution the on-air records hand a folding radio's fold."""
+    if not radio._folds:
+        radio._sense_sum_mw = -abs(radio._sense_sum_mw)
+        return
+    for record in _reaching_records(radio):
+        record.sense_mw[radio] = -record.contribution_mw(
+            radio, record.sense_gains
+        )
 
 
 def corrupt_bit_counter(reception: Any, extra_bits: int) -> None:

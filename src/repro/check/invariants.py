@@ -13,13 +13,19 @@ hook                         invariant
                              current clock; periodically cross-checks the
                              event queue's live-event counter against a
                              full heap scan.
-``on_accumulator_update``    the radio's incremental sensing-path power
-                             sum is never negative, and every
+``on_accumulator_update``    an eager radio's incremental sensing-path
+                             power sum is never negative, and every
                              ``resample_every`` updates it is resampled
                              against the brute-force mask re-evaluation
                              (relative drift ≤ ``drift_rtol``); the
                              decode-path sum is cross-checked at the same
                              cadence.
+``on_power_probe``           the same audit for a radio that folds the
+                             medium's on-air table: every
+                             ``resample_every`` probes its folded sensing-
+                             and decode-path sums are checked for sign and
+                             resampled against the brute-force mask
+                             re-evaluation.
 ``on_frame_complete``        per-transmission bit conservation: a
                              completed frame samples exactly
                              ``round(airtime · bit_rate)`` bits, and
@@ -70,9 +76,9 @@ def checks_enabled_by_env() -> bool:
 class CheckConfig:
     """Tunables of the invariant layer."""
 
-    #: Brute-force accumulator resample cadence, in accumulator updates
-    #: per radio (1 = every update; raise to amortise the O(n·mask)
-    #: resample on big rigs).
+    #: Brute-force resample cadence, in accumulator updates (eager radios)
+    #: or power probes (folding radios) per radio (1 = every one; raise
+    #: to amortise the O(n·mask) resample on big rigs).
     resample_every: int = 32
     #: Allowed relative drift between the incremental accumulator and
     #: its brute-force resample.
@@ -107,11 +113,15 @@ class InvariantChecker:
             "events": 0,
             "queue_audits": 0,
             "accumulator_updates": 0,
+            "power_probes": 0,
             "accumulator_resamples": 0,
             "frames": 0,
             "thresholds": 0,
         }
         self._accum_updates: Dict[int, int] = {}
+        self._probes: Dict[int, int] = {}
+        #: Set while a resample runs: its own probes must not recurse.
+        self._resampling = False
         self._max_rssi: Dict[int, float] = {}
 
     # ------------------------------------------------------------------
@@ -144,22 +154,46 @@ class InvariantChecker:
     def on_accumulator_update(self, radio: Any) -> None:
         """Signal add/remove hook: non-negativity + periodic resample."""
         self.counters["accumulator_updates"] += 1
-        if radio._sense_sum_mw < 0.0:
-            raise InvariantViolation(
-                f"negative sensing-path accumulator on radio "
-                f"{radio.name!r} at t={radio.sim.now:.9f} s: "
-                f"{radio._sense_sum_mw!r} mW "
-                f"({len(radio.active_signals)} active signals)"
-            )
+        self._check_sign(radio)
         key = id(radio)
         count = self._accum_updates.get(key, 0) + 1
         self._accum_updates[key] = count
         if count % self.config.resample_every == 0:
             self.resample_radio(radio)
 
+    def on_power_probe(self, radio: Any) -> None:
+        """Probe hook of a folding radio: every ``resample_every`` probes,
+        sign check plus resample of both folded sums."""
+        if self._resampling:
+            return
+        self.counters["power_probes"] += 1
+        key = id(radio)
+        count = self._probes.get(key, 0) + 1
+        self._probes[key] = count
+        if count % self.config.resample_every == 0:
+            self._check_sign(radio)
+            self.resample_radio(radio)
+
+    def _check_sign(self, radio: Any) -> None:
+        interference = radio.sense_interference_mw()
+        if interference < 0.0:
+            raise InvariantViolation(
+                f"negative sensing-path accumulator on radio "
+                f"{radio.name!r} at t={radio.sim.now:.9f} s: "
+                f"{interference!r} mW "
+                f"({len(radio.active_signals)} active signals)"
+            )
+
     def resample_radio(self, radio: Any) -> None:
-        """Cross-check both power accumulators against brute force now."""
+        """Cross-check both power sums against brute force now."""
         self.counters["accumulator_resamples"] += 1
+        resampling, self._resampling = self._resampling, True
+        try:
+            self._resample(radio)
+        finally:
+            self._resampling = resampling
+
+    def _resample(self, radio: Any) -> None:
         self._compare(
             radio,
             "sensing-path",
@@ -188,7 +222,7 @@ class InvariantChecker:
                 f"{len(radio.active_signals)} active signals) — first "
                 f"divergence after "
                 f"{self.counters['accumulator_updates']} accumulator "
-                f"updates"
+                f"updates and {self.counters['power_probes']} power probes"
             )
 
     def on_frame_complete(self, reception: Any, outcome: Any) -> None:
@@ -250,6 +284,7 @@ class InvariantChecker:
             f"invariants ok: {c['events']} events, "
             f"{c['queue_audits']} queue audits, "
             f"{c['accumulator_resamples']} accumulator resamples "
-            f"(of {c['accumulator_updates']} updates), "
+            f"(of {c['accumulator_updates']} updates and "
+            f"{c['power_probes']} probes), "
             f"{c['frames']} frames, {c['thresholds']} thresholds"
         )

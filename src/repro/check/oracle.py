@@ -7,9 +7,9 @@ that claim into a machine check.  ``diff_exhibit`` runs one exhibit
 twice —
 
 1. the **fast path** (default ``Medium``: cached band-audible fan-out
-   batches from :class:`~repro.phy.vectorized.VectorizedLinkCache`,
-   batched delivery, per-band event shards and incremental power
-   accumulators), and
+   batches from :class:`~repro.phy.vectorized.VectorizedLinkCache` and
+   the on-air table, whose records radios fold into their power sums
+   when probed), and
 2. the **reference path** (``Medium(link_cache=False)`` brute-force
    fan-out plus per-probe mask re-evaluation in the radio power sums)
 

@@ -103,6 +103,10 @@ _DOT11B_CONFIG = RadioConfig(
 class Dot11Radio(Radio):
     """A radio whose receiver false-locks onto overlapped-channel energy."""
 
+    #: The false-lock rule reads every delivered signal (any channel), so
+    #: this receiver keeps eager per-signal state on every medium path.
+    folds_on_air = False
+
     def __init__(self, *args, **kwargs) -> None:
         kwargs.setdefault("mask", dot11b_mask())
         # The sensing path and decode path share the wide 11b filter.

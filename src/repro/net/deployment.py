@@ -85,7 +85,7 @@ class Deployment:
         :class:`~repro.net.traffic.SaturatedSource` started at t = 0.
     link_cache:
         Fan-out strategy for the medium: ``True`` uses the fast path (the
-        link cache, batched delivery and per-band event shards),
+        link cache and the on-air table that radios fold when probed),
         ``False`` the brute-force reference scan.  ``None`` (the
         default) means "fast path, unless an active
         :class:`~repro.check.runtime.CheckSession` asks for the

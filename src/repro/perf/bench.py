@@ -8,7 +8,9 @@ The suite times the hot paths the PR-2 performance layer optimised:
   through the link cache's batched fan-out;
 - ``fanout_1k``         — the same rig at 1000 receivers: the regime the
   struct-of-arrays :mod:`repro.phy.vectorized` path is built for;
-- ``cca_probe``         — the O(1) incremental sensing-path probe;
+- ``cca_probe``         — the sensing-path probe of a default radio with
+  20 frames on air: a fold over the medium's on-air table (a memo hit
+  per record once the radio has probed them);
 - ``cca_probe_brute``   — the pre-optimisation O(n·mask) re-summation,
   kept as the honest "before" reference (also used by the accumulator
   exactness tests);
@@ -24,8 +26,8 @@ The suite times the hot paths the PR-2 performance layer optimised:
   saturated link each) run for 20 ms of sim time, costed per sent
   frame; the scale tier the batched fan-out targets (skipped in
   ``--quick`` mode);
-- ``mini_run_50k``      — the same scene at 50 000 motes: the sharded-
-  scheduler + batched-accumulator regime (DESIGN.md §15; skipped in
+- ``mini_run_50k``      — the same scene at 50 000 motes: the on-air
+  table + single tuple heap regime (DESIGN.md §15; skipped in
   ``--quick`` mode);
 - ``mini_run_50k_smoke``— the 50k scene at 5 ms of sim time, sized for
   the CI ``scale`` job (selected there via ``--only``); part of the
@@ -116,8 +118,9 @@ def brute_force_sensed_power_mw(radio) -> float:
 def brute_force_in_channel_power_mw(radio, exclude=None) -> float:
     """Decode-path power by full re-summation (the pre-PR-2 algorithm)."""
     total = radio._noise_mw
+    skip = exclude.transmission if exclude is not None else None
     for signal in radio.active_signals:
-        if signal is exclude:
+        if signal.transmission is skip:
             continue
         leakage_db = radio.mask.leakage_db(signal.channel_mhz - radio.channel_mhz)
         total += signal.rx_power_mw * (10.0 ** (-leakage_db / 10.0))
@@ -251,7 +254,15 @@ def _bench_mini_run(n_motes: int, sim_s: float = 0.02) -> Dict[str, Any]:
     }
 
 
-def _cca_rig(n_signals: int = 20):
+def _cca_rig(n_signals: int = 20, eager: bool = False):
+    """A receiver with ``n_signals`` frames on air at it: channels 2460 to
+    2466 MHz, RSS -60 - i dBm.
+
+    By default the frames are real transmissions on a fast-path medium,
+    so a probe folds the medium's on-air table — what every default
+    radio does.  ``eager=True`` builds the reference leg's radio and
+    feeds its per-signal accumulator directly (the brute-force rig).
+    """
     from ..phy.frame import Frame
     from ..phy.medium import Medium, Signal, Transmission
     from ..phy.propagation import FixedRssMatrix
@@ -261,23 +272,35 @@ def _cca_rig(n_signals: int = 20):
 
     sim = Simulator()
     rng = RngStreams(1)
-    medium = Medium(sim, FixedRssMatrix(default_loss_db=50.0), rng=rng)
+    matrix = FixedRssMatrix(default_loss_db=300.0)
+    medium = Medium(sim, matrix, rng=rng, link_cache=not eager)
     rx = Radio(sim, medium, "rx", (0, 0), 2460.0, 0.0, rng=rng)
     for i in range(n_signals):
-        transmission = Transmission(
-            source=rx,
-            frame=Frame("s", None, 60),
-            channel_mhz=2460.0 + (i % 7),
-            tx_power_dbm=0.0,
-            start_time=0.0,
-            end_time=1.0,
+        channel_mhz = 2460.0 + (i % 7)
+        if eager:
+            transmission = Transmission(
+                source=rx,
+                frame=Frame("s", None, 60),
+                channel_mhz=channel_mhz,
+                tx_power_dbm=0.0,
+                start_time=0.0,
+                end_time=1.0,
+            )
+            rx._add_signal(Signal(transmission, -60.0 - i))
+            continue
+        position = (float(i + 1), 0.0)
+        matrix.set_loss(position, (0, 0), 60.0 + i)
+        source = Radio(sim, medium, f"s{i}", position, channel_mhz, 0.0,
+                       rng=rng)
+        medium.begin_transmission(
+            source, Frame(source.name, None, 60), channel_mhz, 0.0,
+            lambda _t: None,
         )
-        rx._add_signal(Signal(transmission, -60.0 - i))
     return rx
 
 
 def _bench_cca_probe(n: int, brute: bool) -> Dict[str, Any]:
-    rx = _cca_rig()
+    rx = _cca_rig(eager=brute)
     acc = 0.0
     t0 = time.perf_counter()
     if brute:

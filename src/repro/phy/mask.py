@@ -68,6 +68,15 @@ class SpectralMask:
     def leakage_db(self, delta_f_mhz: float) -> float:
         raise NotImplementedError
 
+    def cached_leakage_db(self, delta_f_mhz: float) -> float:
+        """:meth:`leakage_db`, memoised per offset where the mask allows.
+
+        The base class does not memoise (a subclass may be mutable);
+        :class:`PiecewiseLinearMask` keeps one memo per instance, so every
+        radio sharing a default mask shares its memo.
+        """
+        return self.leakage_db(delta_f_mhz)
+
     def leakage_db_batch(self, delta_f_mhz: "object") -> "object":
         """Attenuation for an array of frequency offsets.
 
@@ -94,6 +103,8 @@ class PiecewiseLinearMask(SpectralMask):
     Immutable: the curve is stored as tuples and its ``_key``/hash are
     computed once, so one instance can be shared by every radio and
     equality/hashing (the link cache groups radios by mask) cost O(1).
+    Its per-offset leakage memo (:meth:`cached_leakage_db`) is shared the
+    same way.
 
     Parameters
     ----------
@@ -125,6 +136,8 @@ class PiecewiseLinearMask(SpectralMask):
         self._max_db = max_db
         self._key_value = (self._freqs, self._attens, max_db)
         self._hash = hash((type(self), self._key_value))
+        #: offset (MHz) -> leakage (dB); see :meth:`cached_leakage_db`.
+        self._leakage_memo: dict = {}
 
     @property
     def max_db(self) -> float:
@@ -135,6 +148,14 @@ class PiecewiseLinearMask(SpectralMask):
 
     def __hash__(self) -> int:
         return self._hash
+
+    def cached_leakage_db(self, delta_f_mhz: float) -> float:
+        leakage = self._leakage_memo.get(delta_f_mhz)
+        if leakage is None:
+            leakage = self._leakage_memo[delta_f_mhz] = self.leakage_db(
+                delta_f_mhz
+            )
+        return leakage
 
     def leakage_db(self, delta_f_mhz: float) -> float:
         df = abs(delta_f_mhz)

@@ -34,12 +34,12 @@ One fast path, one reference
 ``link_cache=True`` (the default) fans out through
 :meth:`~repro.phy.vectorized.VectorizedLinkCache.fanout_batch`: one cached
 :class:`~repro.phy.vectorized.FanoutBatch` per ``(source, tx power,
-channel)`` and one batched delivery loop.  ``link_cache=False`` is the
-brute-force reference: every transmission scans every radio with the scalar
-path-loss model and applies the same rule through the same function.  Both
-legs therefore select the same links in the same (registration) order by
-construction, and ``repro check diff`` proves the rest of the fast path
-(accumulator updates, delivery) equal.
+channel)``.  ``link_cache=False`` is the brute-force reference: every
+transmission scans every radio with the scalar path-loss model, applies
+the same rule through the same function and notifies each receiver
+through ``on_signal_start``/``on_signal_end``.  Both legs therefore select
+the same links in the same (registration) order by construction, and
+``repro check diff`` proves the rest of the fast path equal.
 
 Fading draws are stateless (:mod:`repro.phy.fading`): a draw is a pure
 function of the link key — a hash of the root seed and the two radio names
@@ -48,17 +48,45 @@ legs pass their key column for the transmission to the same
 ``sample_db_many`` call, so their floats are identical, and skipping a link
 never shifts another link's draws.
 
+The on-air table (fast path)
+----------------------------
+Most receivers of a frame only overhear it as leakage.  On the fast path
+the medium therefore delivers nothing to them: it appends one
+:class:`OnAirRecord` (the transmission, its batch's link index and gain
+columns, and the frame's RSS and keep lists) to :attr:`Medium.on_air`, in
+start order, and removes it at the frame's end.  A radio whose class sets
+``folds_on_air`` (and that does not average its RSSI register) answers its
+power probes by folding over the records that reach it, in start order —
+exactly its old active-signal list, with the same float expressions, so
+every probe is bit-identical to the old incremental accumulators
+(DESIGN.md §15).  Only receivers that act
+on a frame get eager work:
+
+- radios with a reception in progress (flagged in ``RadioArrays.locked``)
+  close their SINR segment before a reaching record is added, and at its
+  end finalize (when locked on it) or close the segment again, in link
+  order;
+- lock candidates — kept, co-channel, at or above sensitivity, idle and
+  unlocked — get a :class:`Signal` and the unchanged lock ladder;
+- radios that keep eager state (``folds_on_air = False``, e.g. 802.11b,
+  or ``cca_averaging=True``) get ``on_signal_start``/``on_signal_end``
+  calls, in link order, as on the reference leg.
+
 Event ordering: at identical timestamps, signal *ends* fire before signal
 *starts* (priority 0 vs 1) so that back-to-back transmissions do not appear
-to overlap for an instant.  All per-receiver end notifications of one
-transmission are delivered by a single batched event (they are scheduled
+to overlap for an instant.  All end processing of one transmission runs in
+a single event (the per-receiver notifications would have been scheduled
 consecutively, so batching preserves the total order).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import (
+    TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -66,6 +94,7 @@ from ..sim.rng import RngStreams
 from ..sim.simulator import Simulator
 from .fading import FadingModel, NoFading, link_keys
 from .frame import Frame
+from .constants import RSSI_AVG_WINDOW_S
 from .propagation import PathLossModel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -83,6 +112,11 @@ __all__ = [
 
 PRIORITY_SIGNAL_END = 0
 PRIORITY_SIGNAL_START = 1
+
+#: How long ended on-air records stay readable for the RSSI register of
+#: folding radios (:meth:`Medium.sense_average_mw`): eight register
+#: windows.
+ENDED_LOG_S = 8 * RSSI_AVG_WINDOW_S
 
 
 @dataclass(slots=True)
@@ -147,6 +181,55 @@ class Signal:
 #: in dBm).
 AudibleEntry = Tuple["Radio", float]
 
+class OnAirRecord:
+    """One transmission on the air, as the fast path's fold reads it.
+
+    ``index`` maps a receiver to its link position in the batch, whose
+    ``decode_gains``/``sense_gains`` columns the record shares; ``rss``
+    holds this frame's per-link RSS (dBm) and ``keep`` whether the link
+    delivered, plus a trailing ``False`` that an absent receiver reaches
+    by looking itself up as ``-1``.  ``sense_mw`` memoises each probing
+    radio's sensing-path contribution (``0.0`` when the record does not
+    reach it): CCA and DCN probes repeat while the same frames are on
+    air.  Decode-path probes (SINR segment closes) happen when the table
+    changes, so they fold without a memo.
+    """
+
+    __slots__ = (
+        "transmission", "index", "rss", "keep", "decode_gains",
+        "sense_gains", "sense_mw",
+    )
+
+    def __init__(
+        self,
+        transmission: Transmission,
+        index: Dict["Radio", int],
+        rss: List[float],
+        keep: List[bool],
+        decode_gains: List[float],
+        sense_gains: List[float],
+    ) -> None:
+        self.transmission = transmission
+        self.index = index
+        self.rss = rss
+        self.keep = keep
+        self.decode_gains = decode_gains
+        self.sense_gains = sense_gains
+        self.sense_mw: Dict["Radio", float] = {}
+
+    def contribution_mw(self, radio: "Radio", gains: List[float]) -> float:
+        """``radio``'s post-mask power from this record under ``gains``:
+        ``10 ** (rss / 10) * gain``, the eager ``Signal`` expression, or
+        ``0.0`` when the record does not reach it (adding ``0.0`` leaves
+        a fold's bits unchanged)."""
+        i = self.index.get(radio, -1)
+        if self.keep[i]:
+            return 10.0 ** (self.rss[i] / 10.0) * gains[i]
+        return 0.0
+
+    def reaches(self, radio: "Radio") -> bool:
+        return self.keep[self.index.get(radio, -1)]
+
 
 def best_case_dbm(
     receiver: "Radio", channel_mhz: float, mean_rss: float, headroom_db: float
@@ -163,7 +246,8 @@ def best_case_dbm(
         return headroom_db
     offset = channel_mhz - receiver.channel_mhz
     leakage = min(
-        receiver.mask.leakage_db(offset), receiver.cca_mask.leakage_db(offset)
+        receiver.mask.cached_leakage_db(offset),
+        receiver.cca_mask.cached_leakage_db(offset),
     )
     return mean_rss + headroom_db - leakage
 
@@ -191,10 +275,9 @@ class Medium:
     link_cache:
         ``True`` (the default) selects the fast path: the
         :class:`~repro.phy.vectorized.VectorizedLinkCache` fan-out
-        batches, the batched delivery loop, and per-band event-queue
-        shards (each radio's timers and each transmission's end events
-        land in its band's sub-heap; placement never reorders dispatch,
-        DESIGN.md §15).  ``False`` selects the brute-force reference scan.
+        batches and the on-air table (see the module docstring).
+        ``False`` selects the brute-force reference scan with eager
+        per-receiver delivery.
     reference_accumulators:
         When ``True`` every radio registered on this medium answers its
         power probes by full per-call mask re-evaluation (the pre-PR-2
@@ -228,10 +311,23 @@ class Medium:
             from .vectorized import VectorizedLinkCache
 
             self._gain_cache = VectorizedLinkCache(self)
-        #: channel_mhz -> event-queue shard index (lazily registered).
-        self._band_shards: Dict[float, int] = {}
+        #: Radios built on this medium fold the on-air table (if their
+        #: class allows) exactly when the fast path is on.
+        self.on_air_fast_path = self._gain_cache is not None
         #: id(source) -> transmissions begun so far (the fading counter).
         self._tx_seq: Dict[int, int] = {}
+        #: The on-air table: id(transmission) -> record, in start order
+        #: (fast path only; see the module docstring).
+        self.on_air: Dict[int, OnAirRecord] = {}
+        #: Folding radios with a reception in progress (their rows are
+        #: flagged in the link cache's ``RadioArrays.locked``).
+        self._locked_count = 0
+        #: Records that ended within the last ``ENDED_LOG_S``, oldest
+        #: first (the RSSI register of folding radios reads them).
+        self._ended: Deque[OnAirRecord] = deque()
+        from .radio import RadioState
+
+        self._idle = RadioState.IDLE
 
     # ------------------------------------------------------------------
     def register(self, radio: "Radio") -> None:
@@ -242,7 +338,6 @@ class Medium:
         self._radios.append(radio)
         self._radios_snapshot = None
         if self._gain_cache is not None:
-            radio.event_shard = self._band_shard(radio.channel_mhz)
             # The new radio may hear already-cached sources: fold it into
             # each cached batch in place (bit-identical to a full rebuild,
             # see VectorizedLinkCache.register_radio).
@@ -256,14 +351,6 @@ class Medium:
         if snapshot is None:
             snapshot = self._radios_snapshot = tuple(self._radios)
         return snapshot
-
-    def _band_shard(self, channel_mhz: float) -> int:
-        """Event-queue shard for a frequency band (registered lazily)."""
-        shard = self._band_shards.get(channel_mhz)
-        if shard is None:
-            shard = self.sim.add_event_shard()
-            self._band_shards[channel_mhz] = shard
-        return shard
 
     def invalidate_link_cache(self) -> None:
         """Drop cached link budgets after a radio position change."""
@@ -336,110 +423,202 @@ class Medium:
         obs = sim.obs
         if obs is not None:
             obs.on_transmission(source.name, channel_mhz, airtime)
-        floor = self.delivery_floor_dbm
-        fading = self.fading
         tx_seq = self._tx_seq
         counter = tx_seq.get(id(source), 0)
         tx_seq[id(source)] = counter + 1
-        delivered: List[Tuple["Radio", Signal]] = []
-        cache = self._gain_cache
-        if cache is not None:
-            # Batched delivery (DESIGN.md §15): one vector add for the
-            # per-packet RSS column, then a tight loop over the survivors
-            # that inlines Radio.on_signal_start/_add_signal against the
-            # FanoutBatch's precomputed gain columns.  Every float
-            # operation (mean+draw add, floor compare, 10**(rss/10),
-            # gain multiplies, sense-sum accumulation) mirrors the
-            # reference loop below operand-for-operand, so accumulator
-            # bits and traces are identical — gated by `repro check diff`
-            # and the whole-scene fast-vs-reference property tests.
-            batch = cache.fanout_batch(source, tx_power_dbm, channel_mhz)
-            radios = batch.radios
-            if radios:
-                rss_arr = batch.means + fading.sample_db_many(batch.keys, counter)
-                keep = rss_arr >= floor
-                if keep.all():
-                    indices = range(len(radios))
-                else:
-                    indices = np.nonzero(keep)[0].tolist()
-                rss_values = rss_arr.tolist()
-                decode_gains = batch.decode_gains
-                sense_gains = batch.sense_gains
-                co_channel = batch.co_channel
-                inline = batch.inline
-                checks = sim.checks
-                append = delivered.append
-                for i in indices:
-                    radio = radios[i]
-                    rss = rss_values[i]
-                    if not inline[i]:
-                        # Subclass with custom lock semantics: deliver
-                        # through its own on_signal_start, exactly as the
-                        # reference loop does.
-                        signal = Signal(transmission, rss)
-                        radio.on_signal_start(signal)
-                        append((radio, signal))
-                        continue
-                    signal = Signal.__new__(Signal)
-                    signal.transmission = transmission
-                    signal.rx_power_dbm = rss
-                    mw = 10.0 ** (rss / 10.0)
-                    signal.rx_power_mw = mw
-                    signal.channel_mhz = channel_mhz
-                    signal.decode_mw = mw * decode_gains[i]
-                    sense_mw = mw * sense_gains[i]
-                    signal.sense_mw = sense_mw
-                    reception = radio.current_reception
-                    if reception is not None:
-                        # Close the elapsed segment under the old
-                        # interference set before this signal counts.
-                        reception.on_interference_change()
-                    radio.active_signals.append(signal)
-                    sense_sum = radio._sense_sum_mw + sense_mw
-                    radio._sense_sum_mw = sense_sum
-                    radio._sense_history.append(
-                        (now, radio._noise_mw + sense_sum)
-                    )
-                    if checks is not None:
-                        checks.on_accumulator_update(radio)
-                    if reception is None and co_channel[i]:
-                        radio._maybe_lock(signal)
-                    append((radio, signal))
+        if self._gain_cache is not None:
+            end = self._start_on_air(transmission, counter)
         else:
-            entries = self._audible_entries(source, tx_power_dbm, channel_mhz)
-            radios = [radio for radio, _ in entries]
-            draws = fading.sample_db_many(
-                self.link_keys(source, radios), counter
-            ).tolist()
-            for (radio, mean_rss), draw in zip(entries, draws):
-                rss = mean_rss + draw
-                if rss < floor:
-                    continue
-                signal = Signal(transmission, rss)
-                radio.on_signal_start(signal)
-                delivered.append((radio, signal))
-        if delivered:
-            # One batched end event for the whole fan-out: the per-receiver
-            # notifications would have been scheduled consecutively (same
-            # time, same priority, adjacent sequence numbers), so invoking
-            # them in order from a single event preserves the total order
-            # while keeping heap traffic O(1) per transmission.
-            def _end_all() -> None:
-                for radio, signal in delivered:
-                    radio.on_signal_end(signal)
-
-            # Band-local events ride the source's band shard (None: main
-            # heap).  Placement never affects dispatch order — see
-            # repro.sim.events — it only isolates per-band heap churn.
+            end = self._start_reference(transmission, counter)
+        if end is not None:
             sim.schedule(
-                airtime, _end_all, priority=PRIORITY_SIGNAL_END,
-                tag="signal_end", shard=source.event_shard,
+                airtime, end, priority=PRIORITY_SIGNAL_END, tag="signal_end"
             )
         sim.schedule(
             airtime,
             lambda: on_complete(transmission),
             priority=PRIORITY_SIGNAL_END + 1,
             tag="tx_end",
-            shard=source.event_shard,
         )
         return transmission
+
+    # ------------------------------------------------------------------
+    # Reference leg: eager per-receiver delivery
+    # ------------------------------------------------------------------
+    def _start_reference(
+        self, transmission: Transmission, counter: int
+    ) -> Optional[Callable[[], None]]:
+        entries = self._audible_entries(
+            transmission.source, transmission.tx_power_dbm,
+            transmission.channel_mhz,
+        )
+        draws = self.fading.sample_db_many(
+            self.link_keys(transmission.source, [r for r, _ in entries]),
+            counter,
+        ).tolist()
+        floor = self.delivery_floor_dbm
+        delivered: List[Tuple["Radio", Signal]] = []
+        for (radio, mean_rss), draw in zip(entries, draws):
+            rss = mean_rss + draw
+            if rss < floor:
+                continue
+            signal = Signal(transmission, rss)
+            radio.on_signal_start(signal)
+            delivered.append((radio, signal))
+        if not delivered:
+            return None
+
+        def _end_all() -> None:
+            for radio, signal in delivered:
+                radio.on_signal_end(signal)
+
+        return _end_all
+
+    # ------------------------------------------------------------------
+    # Fast leg: the on-air table
+    # ------------------------------------------------------------------
+    def _start_on_air(
+        self, transmission: Transmission, counter: int
+    ) -> Optional[Callable[[], None]]:
+        cache = self._gain_cache
+        batch = cache.fanout_batch(
+            transmission.source, transmission.tx_power_dbm,
+            transmission.channel_mhz,
+        )
+        radios = batch.radios
+        if not radios:
+            return None
+        rss_arr = batch.means + self.fading.sample_db_many(batch.keys, counter)
+        keep_arr = rss_arr >= self.delivery_floor_dbm
+        rows = batch.rows
+        if self._locked_count:
+            # Receptions in progress close their segment under the old
+            # on-air set before this frame counts.
+            hits = (cache.arrays.locked[rows] & keep_arr).nonzero()[0]
+            for i in hits.tolist():
+                radios[i].current_reception.on_interference_change()
+        rss = rss_arr.tolist()
+        keep = keep_arr.tolist()
+        keep.append(False)
+        record = OnAirRecord(
+            transmission, batch.index, rss, keep,
+            batch.decode_gains, batch.sense_gains,
+        )
+        key = id(transmission)
+        self.on_air[key] = record
+        # Lock candidates and eager receivers, in link order.
+        eager: List[Tuple[int, "Radio", Signal]] = []
+        idle = self._idle
+        acting = (keep_arr & (rss_arr >= batch.lock_floor)).nonzero()[0]
+        for i in acting.tolist():
+            radio = radios[i]
+            if radio._folds:
+                if radio.state is idle and radio.current_reception is None:
+                    radio._maybe_lock(Signal(transmission, rss[i]))
+                    if radio.current_reception is not None:
+                        cache.arrays.locked[radio._row] = True
+                        self._locked_count += 1
+            else:
+                signal = Signal(transmission, rss[i])
+                radio.on_signal_start(signal)
+                eager.append((i, radio, signal))
+
+        def _end() -> None:
+            self._end_on_air(key, record, radios, rows, keep_arr, eager)
+
+        return _end
+
+    def _end_on_air(
+        self,
+        key: int,
+        record: OnAirRecord,
+        radios: List["Radio"],
+        rows: np.ndarray,
+        keep_arr: np.ndarray,
+        eager: List[Tuple[int, "Radio", Signal]],
+    ) -> None:
+        """End of a record: close or finalize the receptions it reaches
+        (record still on air), drop it, then dispatch in link order."""
+        transmission = record.transmission
+        steps: List[tuple] = []
+        if self._locked_count:
+            locked = self._gain_cache.arrays.locked
+            for i in (locked[rows] & keep_arr).nonzero()[0].tolist():
+                radio = radios[i]
+                reception = radio.current_reception
+                if reception.signal.transmission is transmission:
+                    outcome = reception.finalize()
+                    radio.current_reception = None
+                    locked[radio._row] = False
+                    self._locked_count -= 1
+                    steps.append((i, radio, reception, outcome))
+                else:
+                    reception.on_interference_change()
+        del self.on_air[key]
+        ended = self._ended
+        ended.append(record)
+        horizon = self.sim.now - ENDED_LOG_S
+        while ended[0].transmission.end_time < horizon:
+            ended.popleft()
+        if eager:
+            steps.extend((i, radio, signal, None) for i, radio, signal in eager)
+            steps.sort(key=itemgetter(0))
+        for _, radio, held, outcome in steps:
+            if outcome is None:
+                radio.on_signal_end(held)
+            else:
+                radio._finish_reception(held, outcome)
+
+    def unlock(self, radio: "Radio") -> None:
+        """Clear a folding radio's reception flag (reception abandoned)."""
+        self._gain_cache.arrays.locked[radio._row] = False
+        self._locked_count -= 1
+
+    def _pad_on_air(self) -> None:
+        """Extend the keep lists of live and logged records after a
+        registration grew their batches: the newcomer heard none of them."""
+        for records in (self.on_air.values(), self._ended):
+            for record in records:
+                short = len(record.index) + 1 - len(record.keep)
+                if short > 0:
+                    record.keep.extend([False] * short)
+
+    # ------------------------------------------------------------------
+    # Reads of the on-air table (folding radios)
+    # ------------------------------------------------------------------
+    def signals_at(self, radio: "Radio") -> List[Signal]:
+        """The signals on air at ``radio``, in start order (a snapshot).
+
+        Each :class:`Signal` carries the RSS and cached post-mask powers
+        the fold uses; the list is what the radio's active-signal list
+        would hold under eager delivery."""
+        signals: List[Signal] = []
+        for record in self.on_air.values():
+            i = record.index.get(radio, -1)
+            if record.keep[i]:
+                signal = Signal(record.transmission, record.rss[i])
+                signal.decode_mw = signal.rx_power_mw * record.decode_gains[i]
+                signal.sense_mw = signal.rx_power_mw * record.sense_gains[i]
+                signals.append(signal)
+        return signals
+
+    def sense_average_mw(self, radio: "Radio", window_s: float) -> float:
+        """Time-averaged sensing-path power at ``radio`` over the trailing
+        ``window_s`` (the RSSI register of a folding radio).
+
+        Integrates every reaching record, on air or ended within
+        :data:`ENDED_LOG_S`, over its overlap with the window; longer
+        windows miss records that ended before the log horizon."""
+        now = self.sim.now
+        horizon = now - window_s
+        total = radio._noise_mw * window_s
+        for records in (self._ended, self.on_air.values()):
+            for record in records:
+                transmission = record.transmission
+                start = max(transmission.start_time, horizon)
+                end = min(transmission.end_time, now)
+                if end > start:
+                    total += record.contribution_mw(
+                        radio, record.sense_gains
+                    ) * (end - start)
+        return total / window_s

@@ -19,6 +19,19 @@ MAC layers subscribe via :meth:`Radio.add_frame_listener` and receive every
 finished :class:`~repro.phy.errors.FrameReception` (CRC-good or not —
 snooping CRC-failed frames still yields their RSSI, which the DCN
 CCA-Adjustor uses).
+
+Two ways to know the power on air
+---------------------------------
+On the medium's fast path a radio *folds the on-air table*
+(:attr:`Radio.folds_on_air`): its probes sum the medium's on-air records
+that reach it, in start order, when asked, and the medium only calls into
+it to lock or to close a reception segment.  Otherwise — on the reference
+leg, for classes with their own lock rule (802.11b) and for radios that
+average the RSSI register — the radio keeps *eager* state: a list of
+active :class:`~repro.phy.medium.Signal` objects, a running sensing-path
+sum and the register's step history, updated by
+:meth:`Radio.on_signal_start` / :meth:`Radio.on_signal_end`.  Both give the
+same floats (DESIGN.md §15).
 """
 
 from __future__ import annotations
@@ -80,6 +93,14 @@ _DEFAULT_CONFIG = RadioConfig()
 class Radio:
     """One transceiver bound to a medium, a position and a channel."""
 
+    #: Radios of this class answer power probes by folding the medium's
+    #: on-air table when the medium runs its fast path (see the module
+    #: docstring).  A subclass whose lock rule needs the eager
+    #: ``on_signal_start``/``on_signal_end`` calls sets this to False.
+    #: A class attribute, decided once per class: nothing compares
+    #: methods by identity, so wrapping them never changes the path.
+    folds_on_air = True
+
     def __init__(
         self,
         sim: Simulator,
@@ -116,8 +137,18 @@ class Radio:
         self._rng_streams = rng if rng is not None else medium.rng
         self._bit_rng: Optional[np.random.Generator] = None
         self.state = RadioState.IDLE
-        self.active_signals: List[Signal] = []
         self.current_reception: Optional[Reception] = None
+        #: True when this radio folds the medium's on-air table instead
+        #: of keeping eager per-signal state (module docstring).
+        self._folds = (
+            type(self).folds_on_air
+            and not self.config.cca_averaging
+            and medium.on_air_fast_path
+        )
+        #: The medium's on-air table (read by the fold).
+        self._on_air = medium.on_air
+        #: Eager state: active signals in start order.
+        self._signals: List[Signal] = []
         self._frame_listeners: List[FrameListener] = []
         self._noise_mw = dbm_to_mw(self.config.noise_floor_dbm)
         #: Memoised per-offset linear gains: signal centre frequency ->
@@ -125,17 +156,20 @@ class Radio:
         #: discrete set, so the mask curves are evaluated once per offset
         #: instead of once per probe.
         self._gain_memo: dict = {}
-        #: Running sensing-path interference sum (mW, excludes noise).
-        #: Maintained incrementally by :meth:`_add_signal` /
-        #: :meth:`_remove_signal`; reset exactly on removal so float drift
-        #: cannot accumulate.
+        #: Eager state: running sensing-path interference sum (mW,
+        #: excludes noise).  Maintained incrementally by
+        #: :meth:`_add_signal` / :meth:`_remove_signal`; reset exactly on
+        #: removal so float drift cannot accumulate.
         self._sense_sum_mw = 0.0
         self.energy = EnergyAccumulator(tx_power_dbm=tx_power_dbm)
-        #: Step history of the sensing-path power: ``(time, power_mw)``
-        #: entries meaning "sensed power became power_mw at time".  Feeds
-        #: the time-averaged RSSI register.
-        self._sense_history = deque(maxlen=128)
-        self._sense_history.append((self.sim.now, self._noise_mw))
+        #: Eager state: step history of the sensing-path power,
+        #: ``(time, power_mw)`` entries meaning "sensed power became
+        #: power_mw at time".  Feeds the time-averaged RSSI register; a
+        #: folding radio reads the medium's ended-record log instead.
+        self._sense_history: Optional[deque] = None
+        if not self._folds:
+            self._sense_history = deque(maxlen=128)
+            self._sense_history.append((self.sim.now, self._noise_mw))
         #: Reference-path toggle (set by the medium): when True the
         #: power probes re-derive every contribution from the spectral
         #: masks per call instead of using the memoised gains and the
@@ -145,12 +179,8 @@ class Radio:
         #: The sim's trace sink is fixed at construction; caching the
         #: object saves two attribute hops per delivered signal.
         self._trace = sim.trace
-        #: Band sub-heap index for this radio's timers and signal events
-        #: (``None``: the main event heap).  Assigned by the medium during
-        #: registration when it runs with the link cache (band event
-        #: shards); MAC layers pass it as ``shard=`` when scheduling
-        #: band-local events.
-        self.event_shard: Optional[int] = None
+        #: Row in the link cache's radio arrays (set on registration).
+        self._row = -1
         medium.register(self)
         if sim.obs is not None:
             sim.obs.register_radio(self)
@@ -193,8 +223,8 @@ class Radio:
         if gains is None:
             offset = channel_mhz - self.channel_mhz
             gains = (
-                10.0 ** (-self.mask.leakage_db(offset) / 10.0),
-                10.0 ** (-self.cca_mask.leakage_db(offset) / 10.0),
+                10.0 ** (-self.mask.cached_leakage_db(offset) / 10.0),
+                10.0 ** (-self.cca_mask.cached_leakage_db(offset) / 10.0),
             )
             self._gain_memo[channel_mhz] = gains
         return gains
@@ -210,7 +240,7 @@ class Radio:
         signal.decode_mw = rx_power_mw * gains[0]
         sense_mw = rx_power_mw * gains[1]
         signal.sense_mw = sense_mw
-        self.active_signals.append(signal)
+        self._signals.append(signal)
         sense_sum = self._sense_sum_mw + sense_mw
         self._sense_sum_mw = sense_sum
         sim = self.sim
@@ -227,7 +257,7 @@ class Radio:
         running sum *exactly* equal to a fresh brute-force re-summation —
         no incremental subtraction, hence no cancellation drift.
         """
-        signals = self.active_signals
+        signals = self._signals
         signals.remove(signal)
         if signals:
             total = 0.0
@@ -242,6 +272,17 @@ class Radio:
         if checks is not None:
             checks.on_accumulator_update(self)
 
+    @property
+    def active_signals(self) -> List[Signal]:
+        """The signals on air at this radio, in start order.
+
+        The eager list itself, or — for a folding radio — a fresh
+        snapshot built from the medium's on-air table (read-only: the
+        radio does not track it)."""
+        if self._folds:
+            return self.medium.signals_at(self)
+        return self._signals
+
     # ------------------------------------------------------------------
     # Sensing
     # ------------------------------------------------------------------
@@ -250,26 +291,70 @@ class Radio:
 
         Each active signal is attenuated by the demodulator-coupling mask
         according to its centre-frequency offset from this radio's channel
-        (contribution cached at signal start).  This is the interference
-        term of reception SINR.
+        (linear gain memoised per offset).  This is the interference term
+        of reception SINR.  A folding radio sums the on-air records that
+        reach it, skipping ``exclude``'s transmission, from the noise
+        floor up in start order — the eager loop's exact float sequence.
         """
         if self._reference_accumulators:
             return self.resample_in_channel_power_mw(exclude)
         total = self._noise_mw
-        for signal in self.active_signals:
+        if self._folds:
+            skip = exclude.transmission if exclude is not None else None
+            for record in self._on_air.values():
+                if record.transmission is skip:
+                    continue
+                # OnAirRecord.contribution_mw, inlined (hot).
+                i = record.index.get(self, -1)
+                if record.keep[i]:
+                    total += (
+                        10.0 ** (record.rss[i] / 10.0) * record.decode_gains[i]
+                    )
+            checks = self.sim.checks
+            if checks is not None:
+                checks.on_power_probe(self)
+            return total
+        for signal in self._signals:
             if signal is exclude:
                 continue
             total += signal.decode_mw
         return total
 
-    def sensed_power_mw(self) -> float:
-        """Sensing-path in-channel power (mW): what CCA/RSSI measures.
+    def sense_interference_mw(self) -> float:
+        """Sensing-path power of the signals on air, without noise (mW).
 
-        O(1): the per-signal contributions are accumulated incrementally as
-        signals start and end rather than re-summed on every probe.
-        """
+        The eager running sum, or the fold over the on-air records that
+        reach this radio: a left fold from 0.0 in start order, which is
+        what the running sum always equals (every removal re-sums).  The
+        fold reads each record's per-radio memo, so a radio re-probing
+        while the same frames are on air (CCA after CCA on a busy
+        channel) pays a dict hit per record."""
+        if not self._folds:
+            return self._sense_sum_mw
+        total = 0.0
+        for record in self._on_air.values():
+            memo = record.sense_mw
+            mw = memo.get(self)
+            if mw is None:
+                # OnAirRecord.contribution_mw, inlined (hot).
+                i = record.index.get(self, -1)
+                mw = memo[self] = (
+                    10.0 ** (record.rss[i] / 10.0) * record.sense_gains[i]
+                    if record.keep[i] else 0.0
+                )
+            total += mw
+        return total
+
+    def sensed_power_mw(self) -> float:
+        """Sensing-path in-channel power (mW): what CCA/RSSI measures."""
         if self._reference_accumulators:
             return self.resample_sense_power_mw()
+        if self._folds:
+            total = self._noise_mw + self.sense_interference_mw()
+            checks = self.sim.checks
+            if checks is not None:
+                checks.on_power_probe(self)
+            return total
         return self._noise_mw + self._sense_sum_mw
 
     # ------------------------------------------------------------------
@@ -281,9 +366,9 @@ class Radio:
         The reference algorithm behind :meth:`sensed_power_mw`: every
         active signal's CCA-mask leakage is recomputed per call and the
         contributions are summed in active-list order with the noise
-        floor added last — the exact float-operation order the
-        incremental accumulator maintains, so a healthy accumulator
-        matches this *bit for bit*.  Used by the invariant layer's
+        floor added last — the exact float-operation order of the
+        incremental accumulator and of the on-air fold, so a healthy
+        radio matches this *bit for bit*.  Used by the invariant layer's
         periodic resample and by the ``check diff`` reference path.
         """
         total = 0.0
@@ -302,11 +387,14 @@ class Radio:
         Float-order-identical to :meth:`in_channel_power_mw` (noise
         floor first, contributions in active-list order), with each
         per-signal gain re-derived from the decode mask instead of the
-        memoised ``decode_mw`` cache.
+        memoised gain.  ``exclude`` is matched by transmission, so a
+        signal from a folding radio's :attr:`active_signals` snapshot
+        works too.
         """
         total = self._noise_mw
+        skip = exclude.transmission if exclude is not None else None
         for signal in self.active_signals:
-            if signal is exclude:
+            if signal.transmission is skip:
                 continue
             leakage_db = self.mask.leakage_db(
                 signal.channel_mhz - self.channel_mhz
@@ -323,8 +411,12 @@ class Radio:
 
         Computed as the time-weighted mean of the sensing-path power over
         the trailing ``window_s`` (128 us), exactly how the chip's
-        RSSI.RSSI_VAL behaves.
+        RSSI.RSSI_VAL behaves.  A folding radio integrates the medium's
+        on-air and recently ended records instead of a step history
+        (:meth:`~repro.phy.medium.Medium.sense_average_mw`).
         """
+        if self._folds:
+            return mw_to_dbm(self.medium.sense_average_mw(self, window_s))
         now = self.sim.now
         horizon = now - window_s
         # Walk the step history backwards, accumulating weighted power.
@@ -342,16 +434,6 @@ class Radio:
             oldest_power = self._sense_history[0][1]
             total += oldest_power * (covered_until - horizon)
         return mw_to_dbm(total / window_s)
-
-    def _record_sense_change(self) -> None:
-        """Append the current sensed level to the RSSI-register history.
-
-        Signal start/end bookkeeping records steps inline; this helper
-        remains for explicit re-synchronisation (e.g. after a config
-        change in tests)."""
-        self._sense_history.append(
-            (self.sim.now, self._noise_mw + self._sense_sum_mw)
-        )
 
     def cca_busy(self, threshold_dbm: float) -> bool:
         """Energy-detection CCA: busy when in-channel power > threshold."""
@@ -382,6 +464,8 @@ class Radio:
                 )
             self.current_reception.abort()
             self.current_reception = None
+            if self._folds:
+                self.medium.unlock(self)
             if self.sim.trace.enabled:
                 self.sim.trace.emit("rx_aborted_by_tx", radio=self.name)
         self.state = RadioState.TX
@@ -419,12 +503,12 @@ class Radio:
     def _maybe_lock(self, signal: Signal) -> None:
         """Lock ladder for a just-added co-channel signal.
 
-        Factored out of :meth:`on_signal_start` so the medium's batched
-        delivery loop (which precomputes the co-channel test per fanout
-        entry) can reuse it.  The state/sensitivity/SINR checks are pure
-        predicates with no observable effects before the first trace emit,
-        so evaluating the channel-offset test ahead of them — as both call
-        sites do — leaves traces untouched.
+        Shared by :meth:`on_signal_start` and the medium's on-air fast
+        path (which prefilters the co-channel, sensitivity and idle
+        tests).  The state/sensitivity/SINR checks are pure predicates
+        with no observable effects before the first trace emit, so
+        evaluating them ahead of the ladder — as the medium does —
+        leaves traces untouched.
         """
         if self.state is not RadioState.IDLE:
             return
@@ -454,19 +538,24 @@ class Radio:
                 outcome = reception.finalize()
                 self.current_reception = None
                 self._remove_signal(signal)
-                obs = self.sim.obs
-                if obs is not None:
-                    obs.on_rx(
-                        self.name, reception.start_time, self.sim.now,
-                        outcome.frame.frame_id, outcome.crc_ok,
-                        outcome.rssi_dbm,
-                    )
-                self._dispatch_reception(outcome)
+                self._finish_reception(reception, outcome)
                 return
             # Close the elapsed segment while the ending signal still
             # counts as interference.
             reception.on_interference_change()
         self._remove_signal(signal)
+
+    def _finish_reception(
+        self, reception: Reception, outcome: FrameReception
+    ) -> None:
+        """Report a finalized reception to obs and the frame listeners."""
+        obs = self.sim.obs
+        if obs is not None:
+            obs.on_rx(
+                self.name, reception.start_time, self.sim.now,
+                outcome.frame.frame_id, outcome.crc_ok, outcome.rssi_dbm,
+            )
+        self._dispatch_reception(outcome)
 
     # ------------------------------------------------------------------
     # Helpers
@@ -476,13 +565,14 @@ class Radio:
         return offset <= self.config.co_channel_tolerance_mhz
 
     def _lock_sinr_db(self, signal: Signal) -> float:
-        # Fast path: at lock time the candidate signal is already in the
-        # active list, so a singleton list means the excluded loop would
-        # contribute nothing — the interference term is exactly the noise
-        # floor (bit-identical to the general path).
-        active = self.active_signals
+        # Eager fast path: at lock time the candidate signal is already in
+        # the active list, so a singleton list means the excluded loop
+        # would contribute nothing — the interference term is exactly the
+        # noise floor (bit-identical to the general path).
+        active = self._signals
         if (
-            len(active) == 1
+            not self._folds
+            and len(active) == 1
             and active[0] is signal
             and not self._reference_accumulators
         ):

@@ -127,14 +127,15 @@ class Reception:
     def _current_sinr_db(self) -> float:
         radio = self.radio
         signal = self.signal
-        # Fast path: the locked signal is always active during reception,
-        # so a singleton active list means it *is* the excluded signal and
-        # the interference term is exactly the noise floor (the loop in
-        # in_channel_power_mw would add nothing) — bit-identical, minus
-        # the call and loop overhead on the hottest per-segment probe.
-        active = radio.active_signals
+        # Eager fast path: the locked signal is always active during
+        # reception, so a singleton active list means it *is* the excluded
+        # signal and the interference term is exactly the noise floor (the
+        # loop in in_channel_power_mw would add nothing) — bit-identical,
+        # minus the call and loop overhead.  A folding radio always folds.
+        active = radio._signals
         if (
-            len(active) == 1
+            not radio._folds
+            and len(active) == 1
             and active[0] is signal
             and not radio._reference_accumulators
         ):

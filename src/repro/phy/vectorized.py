@@ -24,6 +24,11 @@ same (registration) order.  The build gets there in two steps:
    :func:`~repro.phy.medium.best_case_dbm` — the very calls the reference
    makes — and keep the scalar mean RSS.
 
+Both the confirmation and the batch's gain columns read mask leakage
+through :meth:`~repro.phy.mask.SpectralMask.cached_leakage_db`, so a
+shared default mask evaluates each channel offset once per process, not
+once per link.
+
 Each confirmed link gets its fading key (:func:`~repro.phy.fading.
 link_keys`), a hash of the root seed and the two radio names; draws are
 elementwise in the key column, so which links exist never moves another
@@ -75,64 +80,97 @@ CULLED_POWER_GAUGE = "phy.medium.culled_power_frac_noise_max"
 class FanoutBatch:
     """Per-(source, tx power, channel) links and their delivery columns.
 
-    Everything the batched delivery loop in ``Medium.begin_transmission``
-    needs per link, gathered once and reused for every frame:
+    Everything ``Medium.begin_transmission`` needs per link, gathered once
+    and reused for every frame (DESIGN.md §15):
 
     - ``keys``: the uint64 fading link keys, in link order;
     - ``means`` as a float64 array so the per-packet RSS (`mean + draw`)
       computes in one vector add (IEEE elementwise add — bit-identical to
       the reference's scalar sums);
-    - ``decode_gains`` / ``sense_gains`` pulled from each receiver's own
-      ``_gains_for`` memo, so batched accumulator updates multiply the
-      exact floats ``Radio._add_signal`` would use;
-    - ``co_channel`` flags precomputing the lock-eligibility offset test;
-    - ``inline`` flags marking receivers whose class uses the base
-      ``Radio.on_signal_start`` — only those may take the inlined
-      delivery loop; subclasses with custom lock semantics (e.g. the
-      false-locking 802.11b radio) are dispatched through their own
-      ``on_signal_start`` override.
+    - ``rows``: each receiver's row in :class:`RadioArrays`, which indexes
+      the registry-wide lock flags;
+    - ``lock_floor``: the RSS a frame needs at each receiver before the
+      medium calls into it at start — the receiver's sensitivity when it
+      folds the on-air table and is co-channel, ``+inf`` when it folds
+      and is not (it can never lock), ``-inf`` for eager receivers (they
+      see every delivered signal);
+    - ``decode_gains`` / ``sense_gains`` from each receiver's own
+      ``_gains_for`` memo: the exact floats the eager accumulators and
+      the on-air fold multiply by;
+    - ``co_channel`` flags (the lock-eligibility offset test);
+    - ``index``: receiver -> link position, which the on-air fold looks
+      up once per record.
+
+    The numpy columns are views of capacity-doubling buffers, so
+    :meth:`extend` appends in amortised O(1) per link.
     """
 
     __slots__ = (
-        "radios", "keys", "means", "decode_gains", "sense_gains",
-        "co_channel", "inline",
+        "radios", "index", "keys", "means", "rows", "lock_floor",
+        "decode_gains", "sense_gains", "co_channel",
+        "_keys", "_means", "_rows", "_lock_floor",
     )
 
     def __init__(self) -> None:
         self.radios: List["Radio"] = []
-        self.keys = np.empty(0, dtype=np.uint64)
-        self.means = np.empty(0)
+        self.index: Dict["Radio", int] = {}
         self.decode_gains: List[float] = []
         self.sense_gains: List[float] = []
         self.co_channel: List[bool] = []
-        self.inline: List[bool] = []
+        self._keys = np.empty(0, dtype=np.uint64)
+        self._means = np.empty(0)
+        self._rows = np.empty(0, dtype=np.intp)
+        self._lock_floor = np.empty(0)
+        self._views(0)
+
+    def _views(self, n: int) -> None:
+        self.keys = self._keys[:n]
+        self.means = self._means[:n]
+        self.rows = self._rows[:n]
+        self.lock_floor = self._lock_floor[:n]
 
     def extend(
         self,
         radios: Sequence["Radio"],
         means: Sequence[float],
         keys: np.ndarray,
+        rows: Sequence[int],
         channel_mhz: float,
     ) -> None:
         """Append links (in order) for a transmission on ``channel_mhz``."""
-        from .radio import Radio
-
-        base_start = Radio.on_signal_start
-        for radio in radios:
+        n = len(self.radios)
+        end = n + len(radios)
+        if end > len(self._means):
+            capacity = max(end, 2 * len(self._means), 16)
+            for name in ("_keys", "_means", "_rows", "_lock_floor"):
+                old = getattr(self, name)
+                grown = np.empty(capacity, dtype=old.dtype)
+                grown[:n] = old[:n]
+                setattr(self, name, grown)
+        lock_floor = self._lock_floor
+        index = self.index
+        for k, radio in enumerate(radios, n):
             gains = radio._gains_for(channel_mhz)
             self.decode_gains.append(gains[0])
             self.sense_gains.append(gains[1])
             offset = channel_mhz - radio.channel_mhz
-            self.co_channel.append(
+            co_channel = (
                 (offset if offset >= 0.0 else -offset)
                 <= radio._co_channel_tolerance_mhz
             )
-            # Radios overriding on_signal_start (custom lock semantics)
-            # must not take the inlined delivery loop.
-            self.inline.append(type(radio).on_signal_start is base_start)
+            self.co_channel.append(co_channel)
+            if not radio._folds:
+                lock_floor[k] = -np.inf
+            elif co_channel:
+                lock_floor[k] = radio._sensitivity_dbm
+            else:
+                lock_floor[k] = np.inf
+            index[radio] = k
         self.radios.extend(radios)
-        self.keys = np.append(self.keys, keys)
-        self.means = np.append(self.means, np.asarray(means, dtype=np.float64))
+        self._keys[n:end] = keys
+        self._means[n:end] = means
+        self._rows[n:end] = rows
+        self._views(end)
 
 
 class RadioArrays:
@@ -148,7 +186,7 @@ class RadioArrays:
 
     __slots__ = (
         "radios", "_xy", "_channels", "_noise_mw", "_count",
-        "_mask_groups", "_min_leakage",
+        "_mask_groups", "_min_leakage", "locked",
     )
 
     def __init__(self) -> None:
@@ -156,6 +194,10 @@ class RadioArrays:
         self._xy = np.empty((16, 2))
         self._channels = np.empty(16)
         self._noise_mw = np.empty(16)
+        #: Per-row "has a reception in progress" flags of the radios
+        #: that fold the on-air table (capacity-sized; index by row).
+        #: The medium sets and clears them.
+        self.locked = np.zeros(16, dtype=bool)
         self._count = 0
         self._mask_groups: Dict[Tuple["SpectralMask", "SpectralMask"], List[int]] = {}
         #: channel_mhz -> min(decode, sense) leakage per radio (dB).
@@ -180,11 +222,16 @@ class RadioArrays:
         return self._noise_mw[: self._count]
 
     def append(self, radio: "Radio") -> None:
+        """Add ``radio`` as the next row and record the row on it."""
         n = self._count
         if n == len(self._xy):
             self._xy = np.resize(self._xy, (2 * n, 2))
             self._channels = np.resize(self._channels, 2 * n)
             self._noise_mw = np.resize(self._noise_mw, 2 * n)
+            locked = np.zeros(2 * n, dtype=bool)
+            locked[:n] = self.locked[:n]
+            self.locked = locked
+        radio._row = n
         self._xy[n, 0] = radio.position[0]
         self._xy[n, 1] = radio.position[1]
         self._channels[n] = radio.channel_mhz
@@ -287,8 +334,9 @@ class VectorizedLinkCache:
                 continue
             batch.extend(
                 [radio], [mean_rss], medium.link_keys(source, [radio]),
-                channel_mhz,
+                [radio._row], channel_mhz,
             )
+        medium._pad_on_air()
         if culled_mw and medium.sim.obs is not None:
             frac = np.zeros(len(self.arrays))
             frac[-1] = culled_mw / radio._noise_mw
@@ -347,12 +395,13 @@ class VectorizedLinkCache:
         if approx is not None and medium.sim.obs is not None:
             frac = 10.0 ** (approx / 10.0) / arrays.noise_mw
             frac[kept] = 0.0
-            frac[radios.index(source)] = 0.0
+            frac[source._row] = 0.0
             if frac.any():
                 self._add_culled(frac)
         batch = FanoutBatch()
         batch.extend(
-            survivors, means, medium.link_keys(source, survivors), channel_mhz
+            survivors, means, medium.link_keys(source, survivors), kept,
+            channel_mhz,
         )
         return batch
 

@@ -97,18 +97,11 @@ class Simulator:
         callback: Callable[[], Any],
         priority: int = 0,
         tag: Optional[str] = None,
-        shard: Optional[int] = None,
     ) -> Event:
-        """Schedule ``callback`` to fire ``delay`` seconds from now.
-
-        ``shard`` routes the event into a band sub-heap previously
-        registered via :meth:`add_event_shard` (``None``: the main heap).
-        Shard placement never affects dispatch order — see
-        :class:`~repro.sim.events.EventQueue`.
-        """
+        """Schedule ``callback`` to fire ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} s in the past")
-        return self._queue.push(self.now + delay, callback, priority, tag, shard)
+        return self._queue.push(self.now + delay, callback, priority, tag)
 
     def schedule_at(
         self,
@@ -116,18 +109,13 @@ class Simulator:
         callback: Callable[[], Any],
         priority: int = 0,
         tag: Optional[str] = None,
-        shard: Optional[int] = None,
     ) -> Event:
         """Schedule ``callback`` at absolute ``time`` (>= now)."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at {time} s; clock already at {self.now} s"
             )
-        return self._queue.push(time, callback, priority, tag, shard)
-
-    def add_event_shard(self) -> int:
-        """Register a band sub-heap on the event queue; returns its index."""
-        return self._queue.add_shard()
+        return self._queue.push(time, callback, priority, tag)
 
     @property
     def event_queue(self) -> EventQueue:

@@ -343,3 +343,81 @@ def test_crash_resume_byte_identical(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait(30)
+
+
+def _child_pids(pid):
+    """PIDs whose parent is ``pid`` (Linux ``/proc``)."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_sigkilled_server_leaves_no_pool_workers(tmp_path):
+    """SIGKILL a server that has run one job: its spawned pool workers
+    (and with them the multiprocessing resource tracker) must exit on
+    their own within a few seconds instead of living on as orphans."""
+    port = 18900 + (os.getpid() % 200)
+    base = f"http://127.0.0.1:{port}"
+    env = dict(os.environ)
+    src = str((
+        __import__("pathlib").Path(__file__).resolve().parents[2] / "src"
+    ))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", str(port),
+         "--jobs", "1", "--state-dir", str(tmp_path / "state"),
+         "--cache-dir", str(tmp_path / "cache")],
+        env=env, stderr=subprocess.DEVNULL,
+    )
+    children = []
+    try:
+        client = CampaignClient(base, timeout_s=30.0)
+        deadline = time.monotonic() + 60
+        while True:
+            try:
+                urllib.request.urlopen(base + "/healthz", timeout=1).read()
+                break
+            except Exception:
+                assert proc.poll() is None, "server died"
+                assert time.monotonic() < deadline, "server never ready"
+                time.sleep(0.2)
+        cid = client.submit(ids=["fig04"], seeds=[1], fast=True)["id"]
+        client.wait(cid, timeout_s=120, poll_s=0.2)
+        children = _child_pids(proc.pid)
+        assert children, "the pool should have spawned a worker"
+        proc.kill()
+        proc.wait(30)
+        deadline = time.monotonic() + 10
+        while any(_running(pid) for pid in children):
+            assert time.monotonic() < deadline, (
+                f"orphaned server children still running: "
+                f"{[pid for pid in children if _running(pid)]}"
+            )
+            time.sleep(0.2)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(30)
+        for pid in children:
+            if _running(pid):
+                os.kill(pid, 9)

@@ -238,7 +238,8 @@ def test_register_updates_match_full_rebuild_bitwise():
         return list(zip(
             batch.radios, batch.means.tolist(), batch.keys.tolist(),
             batch.decode_gains, batch.sense_gains, batch.co_channel,
-            batch.inline,
+            batch.rows.tolist(), batch.lock_floor.tolist(),
+            [batch.index[radio] for radio in batch.radios],
         ))
 
     incremental = columns(_batch(medium, tx))
@@ -246,6 +247,53 @@ def test_register_updates_match_full_rebuild_bitwise():
     rebuilt = columns(_batch(medium, tx))
     assert [c[0].name for c in incremental] == ["rx1", "late"]
     assert incremental == rebuilt
+
+
+def test_link_build_evaluates_each_mask_offset_once(monkeypatch):
+    """A build confirms each link with ``best_case_dbm`` and fills its
+    gain columns from ``_gains_for``; both read the mask's per-offset
+    memo, so ``leakage_db`` runs once per distinct (mask, offset) — not
+    four times per confirmed link."""
+    from repro.phy.mask import (
+        CC2420_LEAKAGE_POINTS,
+        CCA_LEAKAGE_POINTS,
+        PiecewiseLinearMask,
+    )
+
+    calls = []
+    original = PiecewiseLinearMask.leakage_db
+
+    def counting(self, delta_f_mhz):
+        calls.append((id(self), delta_f_mhz))
+        return original(self, delta_f_mhz)
+
+    monkeypatch.setattr(PiecewiseLinearMask, "leakage_db", counting)
+    # Fresh (unshared) masks, so no other test has warmed their memos.
+    mask = PiecewiseLinearMask(CC2420_LEAKAGE_POINTS, max_db=60.0)
+    cca_mask = PiecewiseLinearMask(CCA_LEAKAGE_POINTS, max_db=66.0)
+    sim, _matrix, medium = _cache_rig(
+        fading=LogNormalFading(sigma_db=4.0, clip_db=12.0)
+    )
+    channels = [2455.0, 2458.0, 2460.0, 2463.0]
+    radios = [
+        Radio(sim, medium, f"n{i}", (float(i), 0.0), channels[i % 4], 0.0,
+              mask=mask, cca_mask=cca_mask)
+        for i in range(40)
+    ]
+    links = sum(
+        len(_batch(medium, radio).radios)
+        for radio in radios
+    )
+    assert links == 40 * 39  # -60 dBm: every cross-channel link is kept
+    assert len(calls) == len(set(calls))  # each (mask, offset) once
+    offsets = {a - b for a in channels for b in channels}
+    assert len(calls) <= 2 * len(offsets)
+    assert len(calls) / links < 0.02
+    for radio in radios:
+        batch = _batch(medium, radio)
+        for peer, gain in zip(batch.radios, batch.decode_gains):
+            offset = radio.channel_mhz - peer.channel_mhz
+            assert gain == 10.0 ** (-original(mask, offset) / 10.0)
 
 
 def test_late_registered_radio_hears_subsequent_transmissions():
@@ -402,9 +450,13 @@ def test_culled_power_budget_off_without_obs():
 # 2. Incremental power accumulator vs brute-force re-summation
 # ----------------------------------------------------------------------
 def _bare_radio():
+    """A radio with eager accumulators (the reference leg's kind), so the
+    tests can drive ``_add_signal``/``_remove_signal`` directly."""
     sim = Simulator()
     rng = RngStreams(1)
-    medium = Medium(sim, FixedRssMatrix(default_loss_db=50.0), rng=rng)
+    medium = Medium(
+        sim, FixedRssMatrix(default_loss_db=50.0), rng=rng, link_cache=False
+    )
     return Radio(sim, medium, "rx", (0, 0), 2460.0, 0.0, rng=rng)
 
 

@@ -317,7 +317,10 @@ def test_sharded_scheduler_trace_identical_to_scalar_reference(seed):
     assert fast == reference
 
 
-def test_sharded_scheduler_registers_band_shards():
+def test_fast_leg_schedules_every_event_on_one_heap():
+    """The fast leg keeps one event heap of ``(time, priority, seq,
+    event)`` entries: a multi-band scene's signal ends, transmission ends
+    and timers all land in it, and it pops them in sorted key order."""
     sim = Simulator()
     rng = RngStreams(5)
     medium = Medium(sim, FixedRssMatrix(default_loss_db=60.0), rng=rng)
@@ -326,10 +329,26 @@ def test_sharded_scheduler_registers_band_shards():
               2405.0 + 5.0 * (i % 3), 0.0, rng=rng)
         for i in range(6)
     ]
-    # One shard per distinct band, shared by that band's radios.
-    assert sim.event_queue.num_shards == 3
-    by_band = {}
-    for radio in radios:
-        by_band.setdefault(radio.channel_mhz, set()).add(radio.event_shard)
-    assert all(len(s) == 1 for s in by_band.values())
-    assert len({next(iter(s)) for s in by_band.values()}) == 3
+    queue = sim.event_queue
+    assert not hasattr(queue, "add_shard")
+    for delay, radio in enumerate(radios):
+        sim.schedule(
+            1e-3 * delay,
+            lambda radio=radio: radio.transmit(
+                Frame(radio.name, None, 20), lambda t: None
+            ),
+        )
+    keys = []
+    while True:
+        head = queue.peek_time()
+        event = queue.pop_due(float("inf"))
+        if event is None:
+            break
+        assert event.time == head
+        keys.append((event.time, event.priority, event.seq))
+        sim.now = event.time
+        event.callback()
+    assert keys == sorted(keys)
+    # Start, signal end and tx end per radio, all through the one heap.
+    assert len(keys) == 3 * len(radios)
+    assert not medium.on_air

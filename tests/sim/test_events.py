@@ -187,93 +187,68 @@ def test_cancellation_never_loses_live_events(entries):
 
 
 # ----------------------------------------------------------------------
-# Band shards (DESIGN.md §15)
+# One tuple-keyed heap (DESIGN.md §15)
 # ----------------------------------------------------------------------
-def test_shard_pop_order_matches_single_heap():
-    plain = EventQueue()
-    sharded = EventQueue()
-    shards = [sharded.add_shard() for _ in range(3)]
-    entries = [(0.5, 0), (0.5, 0), (0.1, 1), (0.9, 0), (0.1, 0), (0.5, 2)]
-    for index, (t, prio) in enumerate(entries):
-        plain.push(t, lambda: None, priority=prio, tag=index)
-        shard = shards[index % len(shards)] if index % 2 else None
-        sharded.push(t, lambda: None, priority=prio, tag=index, shard=shard)
-    order_plain = [plain.pop().tag for _ in range(len(entries))]
-    order_sharded = [sharded.pop().tag for _ in range(len(entries))]
-    assert order_sharded == order_plain
-
-
 @given(
     st.lists(
         st.tuples(
             st.floats(min_value=0.0, max_value=100.0),
             st.integers(min_value=0, max_value=3),
-            st.integers(min_value=-1, max_value=3),
             st.booleans(),
         ),
         min_size=1,
         max_size=150,
-    )
+    ),
+    st.integers(min_value=0, max_value=8),
 )
-def test_shard_assignment_never_changes_dispatch_order(entries):
-    """Property: any shard assignment pops the exact single-heap sequence.
-
-    The sequence counter is global, so ``(time, priority, seq)`` is a
-    total order independent of heap placement; cancellation of the same
-    subset must also behave identically.
-    """
-    plain = EventQueue()
-    sharded = EventQueue(compact_min_size=4)  # compact aggressively too
-    shards = [sharded.add_shard() for _ in range(4)]
-    plain_events, sharded_events = [], []
-    for index, (t, prio, shard_pick, _cancel) in enumerate(entries):
-        plain_events.append(plain.push(t, lambda: None, priority=prio, tag=index))
-        shard = None if shard_pick < 0 else shards[shard_pick]
-        sharded_events.append(
-            sharded.push(t, lambda: None, priority=prio, tag=index, shard=shard)
-        )
-    for (_, _, _, cancel), pe, se in zip(entries, plain_events, sharded_events):
+def test_pop_order_is_sorted_key_order_under_push_and_cancel(
+    entries, compact_min
+):
+    """Property: with random pushes and cancellations (and aggressive
+    compaction), the live events pop in sorted ``(time, priority, seq)``
+    order, ``seq`` being the scheduling order."""
+    queue = EventQueue(compact_min_size=compact_min)
+    events = [
+        queue.push(t, lambda: None, priority=prio, tag=index)
+        for index, (t, prio, _cancel) in enumerate(entries)
+    ]
+    for event, (_, _, cancel) in zip(events, entries):
         if cancel:
-            plain.cancel(pe)
-            sharded.cancel(se)
-    assert len(sharded) == len(plain)
-    order_plain = [plain.pop().tag for _ in range(len(plain))]
-    order_sharded = [sharded.pop().tag for _ in range(len(sharded))]
-    assert order_sharded == order_plain
-    assert not sharded and not plain
+            queue.cancel(event)
+    expected = sorted(
+        (t, prio, index)
+        for index, (t, prio, cancel) in enumerate(entries)
+        if not cancel
+    )
+    assert len(queue) == len(expected) == queue.scan_live()
+    popped = []
+    while queue:
+        event = queue.pop()
+        popped.append((event.time, event.priority, event.tag))
+    assert popped == expected
+    assert [event.seq for event in events] == list(range(len(entries)))
 
 
-def test_peek_time_sees_earliest_shard_head():
+def test_pop_due_honours_horizon():
     queue = EventQueue()
-    shard = queue.add_shard()
-    queue.push(5.0, lambda: None)
-    queue.push(1.0, lambda: None, shard=shard)
+    queue.push(2.0, lambda: None, tag="mid")
+    queue.push(1.0, lambda: None, tag="early")
+    queue.push(3.0, lambda: None, tag="late")
     assert queue.peek_time() == 1.0
-    assert queue.pop().time == 1.0
-    assert queue.peek_time() == 5.0
-
-
-def test_pop_due_honours_horizon_across_shards():
-    queue = EventQueue()
-    shard = queue.add_shard()
-    queue.push(2.0, lambda: None, tag="main")
-    queue.push(1.0, lambda: None, tag="band", shard=shard)
-    queue.push(3.0, lambda: None, tag="late", shard=shard)
-    assert queue.pop_due(2.5).tag == "band"
-    assert queue.pop_due(2.5).tag == "main"
+    assert queue.pop_due(2.5).tag == "early"
+    assert queue.pop_due(2.5).tag == "mid"
     assert queue.pop_due(2.5) is None
     assert queue.pop_due(3.0).tag == "late"
 
 
-def test_clear_keeps_shard_registrations():
+def test_heap_entries_compare_without_events():
+    """Entries are ``(time, priority, seq, event)``: ``seq`` is unique, so
+    comparisons never reach the (unorderable) Event handles."""
     queue = EventQueue()
-    shard = queue.add_shard()
-    queue.push(1.0, lambda: None, shard=shard)
-    queue.clear()
-    assert queue.num_shards == 1
-    assert len(queue) == 0
-    queue.push(1.0, lambda: None, shard=shard)  # must not IndexError
-    assert queue.pop().shard == shard
+    for _ in range(5):
+        queue.push(1.0, lambda: None, priority=0)
+    assert all(len(entry) == 4 for entry in queue._heap)
+    assert [queue.pop().seq for _ in range(5)] == list(range(5))
 
 
 # ----------------------------------------------------------------------
@@ -310,13 +285,7 @@ def test_invalid_compaction_config_rejected():
 
 def test_live_and_scan_live_agree():
     queue = EventQueue(compact_min_size=4)
-    shard = queue.add_shard()
-    events = []
-    for i in range(50):
-        events.append(
-            queue.push(float(i), lambda: None,
-                       shard=shard if i % 2 else None)
-        )
+    events = [queue.push(float(i), lambda: None) for i in range(50)]
     for event in events[::3]:
         queue.cancel(event)
     assert queue.live == len(queue) == queue.scan_live()
