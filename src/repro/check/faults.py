@@ -24,7 +24,10 @@ __all__ = [
 
 def _reaching_records(radio: Any):
     """The on-air records that reach a folding radio, oldest first."""
-    return [r for r in radio.medium.on_air.values() if r.reaches(radio)]
+    return [
+        record for record in radio.medium.on_air.values()
+        if record.keep[record.index.get(radio, -1)]
+    ]
 
 
 def corrupt_sense_accumulator(radio: Any, extra_mw: float) -> None:

@@ -227,9 +227,6 @@ class OnAirRecord:
             return 10.0 ** (self.rss[i] / 10.0) * gains[i]
         return 0.0
 
-    def reaches(self, radio: "Radio") -> bool:
-        return self.keep[self.index.get(radio, -1)]
-
 
 def best_case_dbm(
     receiver: "Radio", channel_mhz: float, mean_rss: float, headroom_db: float

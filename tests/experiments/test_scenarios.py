@@ -146,7 +146,7 @@ def test_large_scene_deterministic_for_same_seed():
 
 def test_large_scene_trace_identical_across_scheduler_sharding():
     """A fixed-seed 16-channel scene renders byte-identical traces on the
-    fast path (band event shards, cached band-audible fan-out batches)
+    fast path (the on-air table, cached band-audible fan-out batches)
     and on the brute-force reference leg."""
     from repro.check.runtime import CheckSession
     from repro.experiments.scenarios import large_scene

@@ -124,3 +124,34 @@ def test_fold_scene_locks_and_overhears():
     trace, probes = _run(11, 7, "averaging", fast=True)
     assert any(" rx_done " in record for record in trace)
     assert any(len(signals) >= 2 for _, _, signals, _, _ in probes)
+
+
+def test_radios_registered_mid_frame_fold_only_later_frames():
+    """Radios registered while a record is on air grow its batch but were
+    not there when it started: their folds skip it (as eager delivery
+    never delivered it), and the next frame reaches them."""
+    from repro.phy.fading import NoFading
+    from repro.phy.propagation import FixedRssMatrix
+
+    sim = Simulator()
+    rng = RngStreams(3)
+    medium = Medium(sim, FixedRssMatrix(default_loss_db=60.0),
+                    fading=NoFading(), rng=rng)
+    tx = Radio(sim, medium, "tx", (0.0, 0.0), 2460.0, 0.0, rng=rng)
+    Radio(sim, medium, "rx", (1.0, 0.0), 2460.0, 0.0, rng=rng)
+    tx.transmit(Frame("tx", None, 20), lambda _t: None)
+    late = [
+        Radio(sim, medium, f"late{i}", (2.0 + i, 0.0), 2460.0, 0.0, rng=rng)
+        for i in range(3)
+    ]
+    for radio in late:
+        assert radio.active_signals == []
+        assert radio.sensed_power_mw() == radio._noise_mw
+        assert abs(radio.rssi_register_dbm() + 100.0) < 1e-9  # noise
+    sim.run_until_idle()
+    tx.transmit(Frame("tx", None, 20), lambda _t: None)
+    for radio in late:
+        (signal,) = radio.active_signals
+        assert signal.rx_power_dbm == -60.0
+        assert radio.sensed_power_mw() == radio.resample_sense_power_mw()
+    sim.run_until_idle()

@@ -10,7 +10,7 @@ Three layers of guarantees, in decreasing strictness:
    contract is "within ``PRESELECT_GUARD_DB``" (it is only ever used to
    *preselect*, never to commit a value).
 3. **Identical traces** — whole-scene runs through the fast path (cached
-   band-audible fan-out batches, batched delivery) must deliver exactly
+   band-audible fan-out batches, the on-air table) must deliver exactly
    the same frames with the same float-exact outcomes as the brute-force
    reference leg, on co-channel and on spectrally separated scenes.
 """
@@ -303,13 +303,14 @@ def test_sharding_drops_sub_floor_cross_band_links():
 
 
 # ----------------------------------------------------------------------
-# 6. Band event shards + batched receiver accumulators (DESIGN.md §15)
+# 6. The on-air table + one tuple-keyed event heap (DESIGN.md §15)
 # ----------------------------------------------------------------------
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=8, deadline=None)
 def test_sharded_scheduler_trace_identical_to_scalar_reference(seed):
-    """The full fast stack (band event shards, batched accumulators,
-    cached fan-out batches) against the complete reference leg."""
+    """The full fast stack (one event heap, the on-air table and folded
+    power sums, cached fan-out batches) against the complete reference
+    leg."""
     fast = _delivery_run(seed)
     reference = _delivery_run(
         seed, link_cache=False, reference_accumulators=True
