@@ -229,6 +229,67 @@ def test_pop_order_is_sorted_key_order_under_push_and_cancel(
     assert [event.seq for event in events] == list(range(len(entries)))
 
 
+def test_shard_pop_order_matches_single_heap():
+    """Events that once went to per-band shards now share the one heap:
+    pushes interleaved with cancelled fillers (which compaction rewrites
+    out of the heap) pop in the order of a plain queue, which is sorted
+    ``(time, priority, seq)`` order."""
+    plain = EventQueue()
+    mixed = EventQueue(compact_min_size=0)
+    entries = [(0.5, 0), (0.5, 0), (0.1, 1), (0.9, 0), (0.1, 0), (0.5, 2)]
+    for index, (t, prio) in enumerate(entries):
+        plain.push(t, lambda: None, priority=prio, tag=index)
+        filler = mixed.push(0.0, lambda: None, tag="filler")
+        mixed.push(t, lambda: None, priority=prio, tag=index)
+        mixed.cancel(filler)
+    order_plain = [plain.pop().tag for _ in range(len(entries))]
+    order_mixed = [mixed.pop().tag for _ in range(len(entries))]
+    assert order_mixed == order_plain == [4, 2, 0, 1, 5, 3]
+    assert not mixed
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=100.0),
+            st.integers(min_value=0, max_value=3),
+            st.integers(min_value=0, max_value=3),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=150,
+    )
+)
+def test_shard_assignment_never_changes_dispatch_order(entries):
+    """Property: the heap's layout never changes the dispatch sequence.
+
+    Each event is preceded in one queue by ``fillers`` cancelled events
+    (and that queue compacts aggressively), so the two heaps hold the same
+    live events in different places; the same subset is cancelled in
+    both, and both pop the same tags.
+    """
+    plain = EventQueue()
+    padded = EventQueue(compact_min_size=4)
+    plain_events, padded_events = [], []
+    for index, (t, prio, fillers, _cancel) in enumerate(entries):
+        plain_events.append(plain.push(t, lambda: None, priority=prio, tag=index))
+        dead = [padded.push(t, lambda: None, priority=prio) for _ in range(fillers)]
+        padded_events.append(
+            padded.push(t, lambda: None, priority=prio, tag=index)
+        )
+        for event in dead:
+            padded.cancel(event)
+    for (_, _, _, cancel), pe, se in zip(entries, plain_events, padded_events):
+        if cancel:
+            plain.cancel(pe)
+            padded.cancel(se)
+    assert len(padded) == len(plain)
+    order_plain = [plain.pop().tag for _ in range(len(plain))]
+    order_padded = [padded.pop().tag for _ in range(len(padded))]
+    assert order_padded == order_plain
+    assert not padded and not plain
+
+
 def test_pop_due_honours_horizon():
     queue = EventQueue()
     queue.push(2.0, lambda: None, tag="mid")
